@@ -113,13 +113,20 @@ impl CheckerState {
 
 /// The log-backed data port used while replaying a segment.
 ///
+/// The port reads the stream in place, at an offset past `consumer`'s
+/// cursor, and never moves the cursor itself: the engine commits the
+/// [`ReplayPort::consumed`] entries once per dispatch, whether it
+/// replayed one instruction or a block of them.
+///
 /// On divergence it records the typed [`MismatchKind`] and aborts the
 /// instruction with a [`PortStop`]; the engine converts that into a
 /// detection event.
 #[derive(Debug)]
 pub struct ReplayPort<'a> {
-    fifo: &'a mut BufferFifo,
+    fifo: &'a BufferFifo,
     consumer: usize,
+    /// Packets read past the consumer's cursor.
+    read: usize,
     /// Set when the port aborted the access.
     pub mismatch: Option<MismatchKind>,
     /// Fixed per-access latency (FIFO SRAM read), in stall cycles beyond
@@ -129,32 +136,43 @@ pub struct ReplayPort<'a> {
 
 impl<'a> ReplayPort<'a> {
     /// Binds a replay port to `consumer`'s cursor on a main core's FIFO.
-    pub fn new(fifo: &'a mut BufferFifo, consumer: usize) -> Self {
+    pub fn new(fifo: &'a BufferFifo, consumer: usize) -> Self {
         ReplayPort {
             fifo,
             consumer,
+            read: 0,
             mismatch: None,
             latency: 0,
         }
     }
 
+    /// Packets read so far past the consumer's cursor: log entries and
+    /// forwarded branch outcomes, never a checkpoint or `InstCount`.
+    pub fn consumed(&self) -> usize {
+        self.read
+    }
+
+    /// The next packet the port would read.
+    pub(crate) fn head(&self) -> Option<PacketRef<'a>> {
+        let fifo: &'a BufferFifo = self.fifo;
+        fifo.peek_ahead(self.consumer, self.read)
+    }
+
     /// Takes the next log entry, expecting one of `want`; records a
     /// mismatch otherwise.
     ///
-    /// Only the (small) `LogEntry` is copied out: the packet itself is
-    /// consumed with the zero-copy [`BufferFifo::advance`], never moved —
-    /// packets are `ArchSnapshot`-sized and this runs once per replayed
-    /// memory access.
+    /// Only the (small) `LogEntry` is copied out; the packet stays in the
+    /// FIFO — packets are `ArchSnapshot`-sized and this runs once per
+    /// replayed memory access.
     fn take_entry(
         &mut self,
         want: &[LogKind],
         actual: &str,
     ) -> Result<crate::packet::LogEntry, PortStop> {
-        match self.fifo.peek(self.consumer) {
+        match self.head() {
             Some(PacketRef::Mem(e)) if want.contains(&e.kind) => {
-                let e = *e;
-                self.fifo.advance(self.consumer);
-                Ok(e)
+                self.read += 1;
+                Ok(*e)
             }
             Some(PacketRef::Mem(e)) => {
                 let kind = MismatchKind::LogKind {
@@ -272,9 +290,9 @@ impl DataPort for ReplayPort<'_> {
         // Only out-of-order mains pack Branch packets into their stream;
         // replaying an in-order main leaves this a no-hint no-op, so the
         // in-order datapath is bit-for-bit unchanged.
-        match self.fifo.peek(self.consumer) {
+        match self.head() {
             Some(PacketRef::Branch(expected)) => {
-                self.fifo.advance(self.consumer);
+                self.read += 1;
                 if expected == actual_next_pc {
                     Ok(true)
                 } else {
@@ -306,27 +324,46 @@ mod tests {
 
     #[test]
     fn load_replays_logged_data() {
-        let mut f = fifo_with(&[LogEntry {
+        let f = fifo_with(&[LogEntry {
             kind: LogKind::Load,
             addr: 0x100,
             size: 8,
             data: 77,
         }]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         let (v, _) = p.read(0x100, 8).unwrap();
         assert_eq!(v, 77);
         assert!(p.mismatch.is_none());
     }
 
     #[test]
+    fn port_reads_ahead_of_the_cursor() {
+        let load = |data| LogEntry {
+            kind: LogKind::Load,
+            addr: 0x100,
+            size: 8,
+            data,
+        };
+        let f = fifo_with(&[load(1), load(2)]);
+        let mut p = ReplayPort::new(&f, 0);
+        assert_eq!(p.read(0x100, 8).unwrap().0, 1);
+        assert_eq!(p.read(0x100, 8).unwrap().0, 2);
+        assert_eq!(p.consumed(), 2);
+        assert!(p.read(0x100, 8).is_err(), "nothing buffered past the reads");
+        assert_eq!(p.mismatch, Some(MismatchKind::LogUnderrun));
+        assert_eq!(p.consumed(), 2, "a failed read consumes nothing");
+        assert_eq!(f.backlog(0), 2, "the port never moves the cursor");
+    }
+
+    #[test]
     fn load_address_mismatch_detected() {
-        let mut f = fifo_with(&[LogEntry {
+        let f = fifo_with(&[LogEntry {
             kind: LogKind::Load,
             addr: 0x100,
             size: 8,
             data: 77,
         }]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         assert!(p.read(0x108, 8).is_err());
         assert_eq!(
             p.mismatch,
@@ -339,13 +376,13 @@ mod tests {
 
     #[test]
     fn store_data_mismatch_detected() {
-        let mut f = fifo_with(&[LogEntry {
+        let f = fifo_with(&[LogEntry {
             kind: LogKind::Store,
             addr: 0x40,
             size: 8,
             data: 5,
         }]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         assert!(p.write(0x40, 6, 8).is_err());
         assert_eq!(
             p.mismatch,
@@ -358,28 +395,28 @@ mod tests {
 
     #[test]
     fn kind_mismatch_detected() {
-        let mut f = fifo_with(&[LogEntry {
+        let f = fifo_with(&[LogEntry {
             kind: LogKind::Store,
             addr: 0x40,
             size: 8,
             data: 5,
         }]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         assert!(p.read(0x40, 8).is_err());
         assert!(matches!(p.mismatch, Some(MismatchKind::LogKind { .. })));
     }
 
     #[test]
     fn underrun_detected_on_empty_stream() {
-        let mut f = BufferFifo::new(4096, 4);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let f = BufferFifo::new(4096, 4);
+        let mut p = ReplayPort::new(&f, 0);
         assert!(p.read(0x40, 8).is_err());
         assert_eq!(p.mismatch, Some(MismatchKind::LogUnderrun));
     }
 
     #[test]
     fn sc_replays_logged_result() {
-        let mut f = fifo_with(&[
+        let f = fifo_with(&[
             LogEntry {
                 kind: LogKind::ScAddrData,
                 addr: 0x80,
@@ -393,7 +430,7 @@ mod tests {
                 data: 0,
             },
         ]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         let (ok, _) = p.store_conditional(0x80, 9, 8, true).unwrap();
         assert!(!ok, "replay must reproduce the main core's SC failure");
     }
@@ -401,7 +438,7 @@ mod tests {
     #[test]
     fn amo_verifies_stored_value() {
         // Main stored old=10 + src=5 = 15.
-        let mut f = fifo_with(&[
+        let f = fifo_with(&[
             LogEntry {
                 kind: LogKind::AmoAddrData,
                 addr: 0x80,
@@ -415,12 +452,12 @@ mod tests {
                 data: 10,
             },
         ]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         let (old, _) = p.amo(0x80, AmoWidth::D, AmoOp::Add, 5).unwrap();
         assert_eq!(old, 10);
 
         // Corrupted stored value: checker recomputes 15, log says 16.
-        let mut f = fifo_with(&[
+        let f = fifo_with(&[
             LogEntry {
                 kind: LogKind::AmoAddrData,
                 addr: 0x80,
@@ -434,7 +471,7 @@ mod tests {
                 data: 10,
             },
         ]);
-        let mut p = ReplayPort::new(&mut f, 0);
+        let mut p = ReplayPort::new(&f, 0);
         assert!(p.amo(0x80, AmoWidth::D, AmoOp::Add, 5).is_err());
         assert_eq!(
             p.mismatch,

@@ -481,8 +481,19 @@ impl BufferFifo {
     /// Panics if `consumer` is out of range.
     #[inline]
     pub fn peek(&self, consumer: usize) -> Option<PacketRef<'_>> {
-        let pos = self.cursors[consumer];
-        let idx = (pos - self.head_seq) as usize;
+        self.peek_ahead(consumer, 0)
+    }
+
+    /// Peeks the packet `offset` positions past `consumer`'s cursor
+    /// without consuming anything — replay reads ahead of the cursor and
+    /// commits what it read with [`BufferFifo::advance_in_segment`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consumer` is out of range.
+    #[inline]
+    pub(crate) fn peek_ahead(&self, consumer: usize, offset: usize) -> Option<PacketRef<'_>> {
+        let idx = (self.cursors[consumer] - self.head_seq) as usize + offset;
         self.queue.get(idx).map(|s| self.slot_ref(s))
     }
 
@@ -588,8 +599,29 @@ impl BufferFifo {
         Some(len)
     }
 
-    /// Advances `consumer` by `n` packets of which `ecps` are ECPs, with
-    /// a single reclaim pass.
+    /// Consumes `consumer`'s next `n` packets, none of them an ECP, in
+    /// one cursor move with a single reclaim pass — the commit of a
+    /// replay's read-ahead and of a memo playback batch. The end state is
+    /// that of `n` calls of [`BufferFifo::advance`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consumer` is out of range; debug builds also panic if
+    /// fewer than `n` packets are ahead or one of them is an ECP.
+    pub(crate) fn advance_in_segment(&mut self, consumer: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n <= self.backlog(consumer), "advance past the stream");
+        debug_assert!(
+            (0..n).all(|i| !matches!(self.peek_ahead(consumer, i), Some(PacketRef::Ecp(_)))),
+            "an in-segment advance never crosses an ECP"
+        );
+        self.advance_n(consumer, n, 0);
+    }
+
+    /// Advances `consumer` by `n ≥ 1` packets of which `ecps` are ECPs,
+    /// with a single reclaim pass.
     fn advance_n(&mut self, consumer: usize, n: usize, ecps: u64) {
         let pos = self.cursors[consumer];
         self.cursors[consumer] = pos + n as u64;
@@ -680,14 +712,6 @@ impl BufferFifo {
     pub fn next_segment_hash(&self, consumer: usize) -> Option<u64> {
         let idx = self.ecps_consumed[consumer].checked_sub(self.seg_hash_head)?;
         self.seg_hashes.get(idx as usize).copied().flatten()
-    }
-
-    /// Absolute stream position of `consumer`'s cursor. The verdict-memo
-    /// recorder diffs this across a replay step to learn how many log
-    /// entries the step consumed.
-    #[inline]
-    pub(crate) fn cursor(&self, consumer: usize) -> u64 {
-        self.cursors[consumer]
     }
 
     /// Number of packets still ahead of `consumer`.
@@ -951,6 +975,36 @@ mod tests {
         assert!(f.advance(0));
         assert!(!f.advance(0), "nothing left");
         assert!(f.is_fully_drained());
+    }
+
+    #[test]
+    fn bulk_advance_matches_single_advances() {
+        // Two consumers, the slower one crossing the reclaim point
+        // mid-batch: one cursor move must leave the FIFO exactly as the
+        // equivalent run of single advances does.
+        let mut single = BufferFifo::new(4096, 4);
+        single.set_consumers(2);
+        for d in 0..6 {
+            single.push(entry(d)).unwrap();
+        }
+        single.advance(0);
+        let mut bulk = single.clone();
+        for _ in 0..4 {
+            single.advance(1);
+        }
+        bulk.advance_in_segment(1, 4);
+        for f in [&single, &bulk] {
+            assert_eq!(f.peek_ahead(1, 0).map(|r| r.to_packet()), Some(entry(4)));
+        }
+        assert_eq!(single.len(), bulk.len(), "same storage reclaimed");
+        assert_eq!(single.used_bytes(), bulk.used_bytes());
+        assert_eq!(single.at_min, bulk.at_min);
+        assert_eq!(single.cursors, bulk.cursors);
+        // Reads ahead of the cursor consume nothing.
+        assert_eq!(bulk.peek_ahead(0, 1).map(|r| r.to_packet()), Some(entry(2)));
+        assert_eq!(bulk.backlog(0), 5);
+        bulk.advance_in_segment(0, 0);
+        assert_eq!(bulk.backlog(0), 5, "an empty commit is a no-op");
     }
 
     #[test]

@@ -25,7 +25,9 @@ use crate::rcpm::SegmentClose;
 use flexstep_isa::inst::{FlexOp, InstClass};
 use flexstep_isa::XReg;
 use flexstep_mem::cache::CacheGeometryError;
-use flexstep_sim::{PrivMode, Retired, Soc, SocConfig, StepKind, StepResult};
+use flexstep_sim::{
+    DataPort, PrivMode, ReplayControl, Retired, Soc, SocConfig, StepKind, StepResult,
+};
 
 /// Most instructions a main-core logged superblock may retire in one
 /// engine step. Blocks also end at the next branch/system instruction
@@ -36,6 +38,11 @@ const MAIN_BLOCK_INSTS: u64 = 32;
 /// Most memoized profile steps a checker playback may consume in one
 /// engine step (spill mode only — see [`FlexSoc::step_checker`]).
 const PLAYBACK_BLOCK: usize = 32;
+
+/// Most instructions a checker replay block may retire in one engine
+/// step. The cap only bounds one dispatch's host time, so dispatches stay
+/// comparable in cost; a segment simply takes several blocks.
+const REPLAY_BLOCK_INSTS: u64 = 32;
 
 /// Outcome of one engine step on a core.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +69,12 @@ pub enum EngineStep {
     Backpressured,
     /// A checker stalled on an empty stream.
     CheckerWaiting,
-    /// A checker advanced a memo-hit playback by a batch of recorded
-    /// steps, charging each step's recorded retire cost — the timing and
-    /// final state are those of the equivalent run of
+    /// A checker replayed a block of instructions in one dispatch, or
+    /// advanced a memo-hit playback by a batch of recorded steps — the
+    /// timing and final state are those of the equivalent run of
     /// [`EngineStep::CheckerProgress`] steps.
     CheckerBlock {
-        /// Profile steps consumed in the batch (≥ 1).
+        /// Instructions replayed, or profile steps consumed (≥ 1).
         replayed: u64,
     },
     /// A checker applied an SCP and entered replay.
@@ -100,6 +107,11 @@ pub struct FlexSoc {
     /// turn this off while fault shots are armed so injection windows
     /// stay cycle-precise (shots are polled between engine steps).
     main_batching: bool,
+    /// No instruction of a checker replay block is dispatched at or
+    /// after this cycle. The harness sets it before every step to the
+    /// cycle of its next time-triggered event; the default 0 keeps replay
+    /// single-stepped for every other caller.
+    pub(crate) replay_horizon: u64,
 }
 
 impl FlexSoc {
@@ -113,6 +125,7 @@ impl FlexSoc {
             fabric: Fabric::new(soc.num_cores, fabric),
             soc: Soc::new(soc)?,
             main_batching: true,
+            replay_horizon: 0,
         })
     }
 
@@ -471,6 +484,10 @@ impl FlexSoc {
         }
         let cfg = self.fabric.config();
         let dma_spill = cfg.dma_spill;
+        // Replay blocks need the regime playback batching relies on: the
+        // segment is fully buffered before replay starts, and FIFO
+        // occupancy never feeds back into the producer.
+        let blocks = dma_spill && cfg.dma_cycles == 0;
         let wait_cycles = cfg.checker_wait_cycles;
         let scp_apply_cycles = cfg.scp_apply_cycles;
         let ecp_compare_cycles = cfg.ecp_compare_cycles;
@@ -649,17 +666,17 @@ impl FlexSoc {
                     }
                     ReplayHead::Count(v) => {
                         // Record the count when first observed, then
-                        // replay one instruction.
+                        // replay.
                         self.fabric.unit_mut(core).checker.phase = CheckPhase::Replaying {
                             seq,
                             tag,
                             count,
                             ic: Some(v),
                         };
-                        self.replay_one(core, main, consumer, seq, tag)
+                        self.replay(core, main, consumer, seq, tag, blocks)
                     }
                     ReplayHead::Checkpoint | ReplayHead::Entry => {
-                        self.replay_one(core, main, consumer, seq, tag)
+                        self.replay(core, main, consumer, seq, tag, blocks)
                     }
                 }
             }
@@ -808,11 +825,11 @@ impl FlexSoc {
                 total_entries += entries;
             }
             self.soc.charge_replay_retires(core, n as u64, total_cycles);
-            let fifo = &mut self.fabric.unit_mut(main).fifo;
-            for _ in 0..total_entries {
-                let ok = fifo.advance(consumer);
-                debug_assert!(ok, "profile entries lie within the buffered segment");
-            }
+            // Profile entries lie within the buffered segment.
+            self.fabric
+                .unit_mut(main)
+                .fifo
+                .advance_in_segment(consumer, total_entries as usize);
             if let CheckPhase::Replaying { count, .. } =
                 &mut self.fabric.unit_mut(core).checker.phase
             {
@@ -852,6 +869,76 @@ impl FlexSoc {
         EngineStep::CheckerProgress
     }
 
+    /// Replays from the stream head: as a block when the regime allows
+    /// and the harness's horizon lies ahead, else one instruction.
+    fn replay(
+        &mut self,
+        core: usize,
+        main: usize,
+        consumer: usize,
+        seq: u64,
+        tag: u64,
+        blocks: bool,
+    ) -> EngineStep {
+        if blocks && self.replay_horizon > self.soc.now() {
+            let replayed = self.replay_block(core, main, consumer);
+            if replayed > 0 {
+                return EngineStep::CheckerBlock { replayed };
+            }
+        }
+        self.replay_one(core, main, consumer, seq, tag)
+    }
+
+    /// Replays a block of the segment in one dispatch
+    /// ([`Soc::run_replay_block`]) and commits the entries it read with a
+    /// single cursor move. Returns the instructions replayed; 0 leaves
+    /// the head instruction to [`FlexSoc::replay_one`].
+    ///
+    /// A block is exact because the segment is fully buffered before
+    /// replay starts (replay is a pure function of SCP, log and code),
+    /// dispatches are warp-free, and in the spill regime consuming early
+    /// changes nothing the producer observes. It stops before anything
+    /// the single-step path reacts to: see DESIGN.md §18.
+    fn replay_block(&mut self, core: usize, main: usize, consumer: usize) -> u64 {
+        let CheckPhase::Replaying { count, ic, .. } = self.fabric.unit(core).checker.phase else {
+            unreachable!("replay runs in the Replaying phase");
+        };
+        let recording = self.fabric.unit_mut(core).checker.recording.take();
+        let horizon = self.replay_horizon;
+        // Split borrows: the block reads the *main* core's FIFO (fabric
+        // field) while it runs on the checker core (soc field).
+        let mut block = ReplayBlock {
+            port: ReplayPort::new(&self.fabric.unit(main).fifo, consumer),
+            committed: 0,
+            budget: REPLAY_BLOCK_INSTS,
+            count,
+            ic,
+            recording,
+        };
+        let replayed = self.soc.run_replay_block(core, &mut block, horizon);
+        let ReplayBlock {
+            committed,
+            count,
+            ic,
+            recording,
+            ..
+        } = block;
+        self.fabric
+            .unit_mut(main)
+            .fifo
+            .advance_in_segment(consumer, committed);
+        let st = &mut self.fabric.unit_mut(core).checker;
+        st.recording = recording;
+        if let CheckPhase::Replaying {
+            count: c, ic: i, ..
+        } = &mut st.phase
+        {
+            *c = count;
+            *i = ic;
+        }
+        replayed
+    }
+
     fn replay_one(
         &mut self,
         core: usize,
@@ -860,39 +947,36 @@ impl FlexSoc {
         seq: u64,
         tag: u64,
     ) -> EngineStep {
-        // Split borrows: the replay port borrows the *main* core's FIFO
+        // Split borrows: the replay port reads the *main* core's FIFO
         // (fabric field), the step borrows the checker core and memory
         // (soc field) — disjoint fields of `self`.
-        let cursor_before = self.fabric.unit(main).fifo.cursor(consumer);
-        let mismatch;
-        let step;
-        {
-            let unit_main = self.fabric.unit_mut(main);
-            let mut port = ReplayPort::new(&mut unit_main.fifo, consumer);
-            step = self.soc.step_core_with_port(core, &mut port);
-            mismatch = port.mismatch;
-        }
+        let (step, entries, mismatch) = {
+            let mut port = ReplayPort::new(&self.fabric.unit(main).fifo, consumer);
+            let step = self.soc.step_core_with_port(core, &mut port);
+            (step, port.consumed(), port.mismatch)
+        };
+        // Entries read before a failure count as consumed too.
+        self.fabric
+            .unit_mut(main)
+            .fifo
+            .advance_in_segment(consumer, entries);
         match step.kind {
             StepKind::Retired(ref retired) => {
-                if self.fabric.unit(core).checker.recording.is_some() {
-                    // Cursors are absolute stream positions, so the delta
-                    // is exactly the log entries this step consumed.
-                    let entries = self.fabric.unit(main).fifo.cursor(consumer) - cursor_before;
+                let st = &mut self.fabric.unit_mut(core).checker;
+                if st.recording.is_some() {
                     // System instructions (CSR reads of time-dependent
                     // counters) make results depend on more than the
                     // fingerprinted inputs: drop the recording.
                     let system = retired.inst.class() == InstClass::System;
-                    let st = &mut self.fabric.unit_mut(core).checker;
                     let kept = !system
                         && st
                             .recording
                             .as_mut()
-                            .is_some_and(|r| r.push_step(step.cycles, entries));
+                            .is_some_and(|r| r.push_step(step.cycles, entries as u64));
                     if !kept {
                         st.recording = None;
                     }
                 }
-                let st = &mut self.fabric.unit_mut(core).checker;
                 if let CheckPhase::Replaying { count, .. } = &mut st.phase {
                     *count += 1;
                 }
@@ -982,6 +1066,61 @@ impl FlexSoc {
     /// Access to the checker state of a core (tests, OS).
     pub fn checker_state(&self, core: usize) -> &CheckerState {
         &self.fabric.unit(core).checker
+    }
+}
+
+/// A checker replay block in flight: the [`ReplayPort`] reading ahead of
+/// the consumer cursor, plus the bookkeeping [`FlexSoc::step_checker`]
+/// does between single replay steps.
+struct ReplayBlock<'a> {
+    port: ReplayPort<'a>,
+    /// Entries read by retired instructions — all the block commits.
+    /// Later reads belong to an instruction that did not retire.
+    committed: usize,
+    /// Instructions the block may still retire.
+    budget: u64,
+    /// Instructions replayed in the segment so far.
+    count: u64,
+    /// The segment's instruction count, once seen at the read position.
+    ic: Option<u64>,
+    /// The checker's memo recording, moved out for the block.
+    recording: Option<Recording>,
+}
+
+impl ReplayControl for ReplayBlock<'_> {
+    fn port(&mut self) -> &mut dyn DataPort {
+        &mut self.port
+    }
+
+    /// The single-step head classification, at the read position: log
+    /// entries and branch outcomes go on, and so does the segment's
+    /// `InstCount` while instructions remain. A reached or overrun count,
+    /// a checkpoint or an empty stream is the single-step path's to
+    /// handle.
+    fn admit(&mut self) -> bool {
+        if self.budget == 0 {
+            return false;
+        }
+        match self.port.head() {
+            Some(PacketRef::Mem(_) | PacketRef::Branch(_)) => true,
+            Some(PacketRef::InstCount(v)) if self.count < v => {
+                self.ic = Some(v);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn retired(&mut self, cycles: u64) {
+        let entries = (self.port.consumed() - self.committed) as u64;
+        self.committed = self.port.consumed();
+        self.budget -= 1;
+        self.count += 1;
+        if let Some(rec) = &mut self.recording {
+            if !rec.push_step(cycles, entries) {
+                self.recording = None;
+            }
+        }
     }
 }
 

@@ -161,7 +161,11 @@ pub struct RunReport {
     /// Backpressure stalls suffered by main cores.
     pub backpressure_stalls: u64,
     /// Engine steps executed over the run's lifetime (throughput
-    /// accounting for the perf harness).
+    /// accounting for the perf harness), weighted by block size: a main
+    /// superblock or checker replay block counts one step per
+    /// instruction, so this exceeds the number of
+    /// [`VerifiedRun::step_once`] dispatches that
+    /// [`VerifiedRun::run_to_completion`]'s bound counts.
     pub engine_steps: u64,
     /// Per-main outcomes, in channel order.
     pub per_main: Vec<MainReport>,
@@ -452,6 +456,10 @@ pub struct VerifiedRun {
     /// Per-slot checked/unchecked cycle accumulators (only meaningful
     /// under `mode_tracking`).
     coverage: Vec<Coverage>,
+    /// Replays one instruction per dispatch: the reference replay
+    /// blocks are tested against.
+    #[cfg(test)]
+    single_step_replay: bool,
 }
 
 /// Runtime state of a [`PairingSchedule`] being executed against the
@@ -775,6 +783,8 @@ impl VerifiedRun {
             pairing,
             mode_tracking,
             coverage,
+            #[cfg(test)]
+            single_step_replay: false,
         };
         run.sync_fault_memo_blocks();
         // The build-time grants above happen before the first step;
@@ -844,6 +854,13 @@ impl VerifiedRun {
 
     /// Mutable fabric access (custom fault injection, reconfiguration
     /// experiments).
+    ///
+    /// Between [`VerifiedRun::step_once`] calls a checker may have
+    /// replayed, in blocks, up to 32 instructions past [`VerifiedRun::now`]
+    /// — as main superblocks run ahead — so an injection made here meets
+    /// the stream as those blocks left it (DESIGN.md §18). For
+    /// cycle-precise injection use a [`FaultPlan`]: its shots bound every
+    /// block.
     pub fn fabric_mut(&mut self) -> &mut Fabric {
         &mut self.fs.fabric
     }
@@ -1518,6 +1535,32 @@ impl VerifiedRun {
         (0..fifo.consumers()).any(|c| fifo.complete_segments_ahead(c) >= 1)
     }
 
+    /// How far a replay block dispatched on `core` may run: to the cycle
+    /// of the next unfired fault shot or pairing event, the only hooks
+    /// `step_once` fires by time. Its other hooks react to state a block
+    /// never changes mid-segment (DESIGN.md §18) — except that, under
+    /// rollback, a sibling consumer's detection rolls the stream back
+    /// under a running block: such channels replay single-stepped.
+    fn replay_horizon(&self, core: usize) -> u64 {
+        #[cfg(test)]
+        if self.single_step_replay {
+            return 0;
+        }
+        if self.recovery.is_some() {
+            if let Some((main, _)) = self.fs.fabric.channel_of(core) {
+                if self.fs.fabric.unit(main).fifo.consumers() > 1 {
+                    return 0;
+                }
+            }
+        }
+        let pairing = self
+            .pairing
+            .as_ref()
+            .and_then(|p| p.events.get(p.next))
+            .map_or(u64::MAX, |e| e.at_cycle);
+        self.faults.next_cycle().min(pairing)
+    }
+
     /// Executes one scheduling quantum: polls arbiters, fires due fault
     /// shots, then steps the earliest-ready core. Returns `false` once
     /// the run is fully complete.
@@ -1602,10 +1645,12 @@ impl VerifiedRun {
         } else {
             self.slot_of[core].map(|_| self.fs.fabric.unit(core).tracker.open_seq())
         };
+        self.fs.replay_horizon = self.replay_horizon(core);
         let step = self.fs.step(core);
-        // A logged superblock retires many instructions in one engine
-        // step: weight it so `engine_steps` stays an instruction-granular
-        // progress measure, comparable across batching modes.
+        // A logged superblock or a replay block retires many
+        // instructions in one engine step: weight it so `engine_steps`
+        // stays an instruction-granular progress measure, comparable
+        // across batching modes.
         self.steps += match &step {
             EngineStep::MainBlock { retired } => *retired,
             EngineStep::CheckerBlock { replayed } => *replayed,
@@ -1749,6 +1794,11 @@ impl VerifiedRun {
 
     /// Runs until the cycle counter passes `cycle` or the run completes.
     /// Returns `true` while the run is still live.
+    ///
+    /// The last dispatch may leave a main superblock or a checker replay
+    /// block ahead of `cycle`; a fault meant to land at an exact cycle
+    /// belongs in a [`FaultPlan`], not in [`VerifiedRun::fabric_mut`]
+    /// between calls.
     pub fn run_until_cycle(&mut self, cycle: u64) -> bool {
         while self.fs.soc.now() < cycle {
             if !self.step_once() {
@@ -1759,7 +1809,10 @@ impl VerifiedRun {
     }
 
     /// Runs to completion (programs ended + checkers drained), bounded
-    /// by `max_steps` engine steps.
+    /// by `max_steps` calls of [`VerifiedRun::step_once`]. Each call is
+    /// one dispatch, which may retire a whole main superblock or checker
+    /// replay block, so the bound is not [`RunReport::engine_steps`]:
+    /// that counts every instruction of a block.
     pub fn run_to_completion(&mut self, max_steps: u64) -> RunReport {
         let mut steps = 0;
         while steps < max_steps && self.step_once() {
@@ -1988,6 +2041,125 @@ mod tests {
             r_off.to_json(),
             "memo hits must replay the exact timing profile"
         );
+    }
+
+    #[test]
+    fn replay_blocks_match_single_step_replay_bit_for_bit() {
+        let fabric = FabricConfig {
+            segment_limit: 600,
+            ..FabricConfig::paper()
+        };
+        let shots = |seed: u64| {
+            FaultPlan::none()
+                .with_seed(seed)
+                .then_random_at(2_500 + 700 * seed)
+                .then_random_at(9_000 + 700 * seed)
+        };
+        let rollback = RecoveryPolicy::Rollback { max_retries: 3 };
+        type Shape = Box<dyn Fn(u64) -> Scenario>;
+        let shapes: Vec<(&str, Shape)> = vec![
+            (
+                "memoized loop",
+                Box::new(|seed| Scenario::new(&memoizable_loop(1 + seed as i64)).cores(2)),
+            ),
+            (
+                "paired rollback",
+                Box::new(move |seed| {
+                    dual_scenario(fabric, 2_000 + 100 * seed as i64)
+                        .fault_plan(shots(seed))
+                        .recovery(rollback)
+                }),
+            ),
+            (
+                "triple detect",
+                Box::new(move |seed| {
+                    dual_scenario(fabric, 1_500)
+                        .cores(3)
+                        .topology(Topology::Custom(vec![(0, vec![1, 2])]))
+                        .fault_plan(shots(seed))
+                }),
+            ),
+            (
+                "triple rollback",
+                Box::new(move |seed| {
+                    dual_scenario(fabric, 1_500)
+                        .cores(3)
+                        .topology(Topology::Custom(vec![(0, vec![1, 2])]))
+                        .fault_plan(shots(seed))
+                        .recovery(rollback)
+                }),
+            ),
+            (
+                "ooo branch outcomes",
+                Box::new(move |seed| {
+                    dual_scenario(fabric, 1_500)
+                        .main_core_model(flexstep_sim::CoreModelKind::ooo())
+                        .fault_plan(
+                            FaultPlan::bit_flip_at(3_000 * seed, FaultTarget::BranchOutcome)
+                                .with_seed(seed),
+                        )
+                }),
+            ),
+            (
+                "shared pool, pairing window",
+                Box::new(move |seed| {
+                    let mut sc = Scenario::new(&store_loop_in_window(900, 0))
+                        .cores(4)
+                        .topology(Topology::SharedChecker { checkers: 1 })
+                        .fabric(fabric)
+                        .pairing_schedule(PairingSchedule::new().window(
+                            1,
+                            1_500 * seed,
+                            1_500 * seed + 2_000,
+                        ))
+                        .fault_plan(
+                            FaultPlan::none()
+                                .with_seed(seed)
+                                .then_random_at(6_000)
+                                .on_channel(2),
+                        );
+                    for slot in 1..3 {
+                        sc = sc.program(&store_loop_in_window(700, slot));
+                    }
+                    sc
+                }),
+            ),
+        ];
+        for (name, build) in &shapes {
+            for seed in 1..=3 {
+                let run = |single_step: bool| {
+                    let mut run = build(seed).build().unwrap();
+                    run.single_step_replay = single_step;
+                    let mut dispatches = 0u64;
+                    while run.step_once() {
+                        dispatches += 1;
+                    }
+                    let stats = run.fabric().stats;
+                    (run.report().to_json(), stats, dispatches)
+                };
+                let (blocks, block_stats, block_dispatches) = run(false);
+                let (steps, step_stats, step_dispatches) = run(true);
+                assert_eq!(blocks, steps, "{name} seed {seed}: report");
+                assert_eq!(block_stats, step_stats, "{name} seed {seed}: fabric stats");
+                if *name == "triple rollback" {
+                    assert_eq!(
+                        block_dispatches, step_dispatches,
+                        "{name} seed {seed}: sibling consumers single-step under rollback"
+                    );
+                } else {
+                    assert!(
+                        block_dispatches < step_dispatches,
+                        "{name} seed {seed}: blocks must replace dispatches \
+                         ({block_dispatches} vs {step_dispatches})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A paired `store_loop` scenario on `fabric`.
+    fn dual_scenario(fabric: FabricConfig, n: i64) -> Scenario {
+        Scenario::new(&store_loop(n)).cores(2).fabric(fabric)
     }
 
     #[test]

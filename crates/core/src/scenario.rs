@@ -366,6 +366,13 @@ impl FaultDriver {
         self.next < self.shots.len()
     }
 
+    /// Arming cycle of the next unfired shot (`u64::MAX` when none is
+    /// left). Shots fire in order, so no shot fires before it.
+    #[inline]
+    pub(crate) fn next_cycle(&self) -> u64 {
+        self.shots.get(self.next).map_or(u64::MAX, |s| s.at_cycle)
+    }
+
     /// Channels (main slots) with injection shots still armed or in
     /// flight — the harness blocks the verdict memo on these streams
     /// until every shot has fired or expired. Kill shots target checker

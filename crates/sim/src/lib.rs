@@ -57,6 +57,6 @@ pub use model::{
     CoreModel, CoreTimingModel, InOrderModel, InstructionExecutor, OooModel, RetireInfo,
     ScalarExecutor,
 };
-pub use port::{amo_apply, DataPort, PortStop, SocDataPort};
+pub use port::{amo_apply, DataPort, PortStop, ReplayControl, SocDataPort};
 pub use soc::{Retired, SchedMode, Soc, SocConfig, StepKind, StepResult};
 pub use timing::{Clock, ExecCosts};

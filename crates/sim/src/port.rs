@@ -95,6 +95,27 @@ pub trait DataPort {
     }
 }
 
+/// Controls a checker replay block ([`Soc::run_replay_block`]): owns the
+/// replay [`DataPort`], decides before each instruction whether the
+/// block may go on, and hears of each retirement. Accesses an
+/// instruction made count only once it retires: the block ends before
+/// an instruction that fails, leaving its accesses to be made again by
+/// the single-step path.
+///
+/// [`Soc::run_replay_block`]: crate::Soc::run_replay_block
+pub trait ReplayControl {
+    /// The replay port the block's instructions access.
+    fn port(&mut self) -> &mut dyn DataPort;
+
+    /// Whether the next instruction may run in this block. Asked before
+    /// every instruction, the first included.
+    fn admit(&mut self) -> bool;
+
+    /// The instruction just executed retired, charged `cycles`; the
+    /// accesses it made through [`ReplayControl::port`] stand.
+    fn retired(&mut self, cycles: u64);
+}
+
 /// Computes the stored value of an AMO.
 pub fn amo_apply(op: AmoOp, width: AmoWidth, old: u64, src: u64) -> u64 {
     match width {

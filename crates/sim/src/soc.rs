@@ -15,13 +15,13 @@ use crate::core::{Core, RunState};
 use crate::exec::{execute, BranchOutcome, MemAccess, Stop};
 use crate::hart::{CsrCounters, PrivMode, TrapCause};
 use crate::model::{CoreModel, RetireInfo};
-use crate::port::{DataPort, PortStop, SocDataPort};
+use crate::port::{DataPort, PortStop, ReplayControl, SocDataPort};
 use crate::ready::ReadyQueue;
 pub use crate::ready::SchedMode;
 use crate::timing::{Clock, ExecCosts};
 use flexstep_isa::asm::Program;
 use flexstep_isa::decode::decode;
-use flexstep_isa::inst::{FlexOp, Inst};
+use flexstep_isa::inst::{FlexOp, Inst, InstClass};
 use flexstep_isa::XReg;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_mem::{MemoryConfig, MemorySystem};
@@ -478,9 +478,11 @@ impl Soc {
     }
 
     /// Steps `core` one instruction with a caller-supplied data port
-    /// (checker replay). Instruction fetch still uses the core's I-cache
-    /// path — FlexStep checkers fetch instructions normally and only halt
-    /// *data* memory access (§II).
+    /// (checker replay). Replay fetch bypasses the modelled I-cache: it
+    /// reads through the core's L0 line buffer and the decode memo and
+    /// charges no fetch cycles beyond the pipelined hit, so replay timing
+    /// depends only on (start checkpoint, log stream, code bytes)
+    /// (DESIGN.md §13).
     ///
     /// # Panics
     ///
@@ -522,73 +524,37 @@ impl Soc {
             }
         }
 
-        // Fetch through the I-cache. A pipelined front end hides the L1
-        // hit; only the penalty beyond the hit stalls the core.
-        //
-        // L0 fast path: a fetch from the line fetched immediately before
-        // is a guaranteed L1 hit (nothing can evict it in between — the
-        // I-cache is only mutated by this core's own fetches and is not
-        // snooped), and skipping its LRU refresh cannot change any
-        // replacement decision because no other line in the set was
-        // touched since. Timing and replacement stay bit-exact.
-        //
-        // Replay fetches (checker data port supplied) never touch the
-        // modelled I-cache: the checker re-runs code its main core
-        // executed moments ago, so its I-side is treated as always-hit
-        // (0 cycles beyond the pipelined hit). This makes per-segment
-        // replay timing a pure function of (start checkpoint, log
-        // stream, code bytes) — the property the segment-verdict memo
-        // needs — and is why a checker's L1I stays cold (DESIGN.md §13).
-        let replay = custom.is_some();
+        // Fetch: a pipelined front end hides the L1 hit; only the
+        // penalty beyond the hit stalls the core.
         let pc = self.cores[id].state.pc;
-        let line = pc & self.fetch_line_mask;
-        let (word, fetch_cycles) = if self.cores[id].last_fetch_line == line {
-            let w = if self.line_buf_ok {
-                self.cores[id].line_buf[(pc as usize >> 2) & 15]
-            } else {
-                self.mem.phys().read_u32(pc)
+        let (word, fetch_cycles) = self.fetch(id, pc, custom.is_some());
+        let Some(inst) = self.decode_cached(word) else {
+            return StepResult {
+                kind: StepKind::Trap {
+                    cause: TrapCause::IllegalInstruction,
+                    tval: u64::from(word),
+                    pc,
+                },
+                cycles: fetch_cycles,
+                now,
             };
-            (w, 0)
-        } else if replay {
-            self.cores[id].last_fetch_line = line;
-            if self.line_buf_ok {
-                let phys = self.mem.phys();
-                let core = &mut self.cores[id];
-                for (i, slot) in core.line_buf.iter_mut().enumerate() {
-                    *slot = phys.read_u32(line + 4 * i as u64);
-                }
-                (core.line_buf[(pc as usize >> 2) & 15], 0)
-            } else {
-                (self.mem.phys().read_u32(pc), 0)
-            }
-        } else {
-            let (word, fetch_total) = self.mem.fetch(id, pc);
-            self.cores[id].last_fetch_line = line;
-            if self.line_buf_ok {
-                let phys = self.mem.phys();
-                let core = &mut self.cores[id];
-                for (i, slot) in core.line_buf.iter_mut().enumerate() {
-                    *slot = phys.read_u32(line + 4 * i as u64);
-                }
-            }
-            (word, fetch_total.saturating_sub(self.mem.latency().l1_hit))
         };
-        let inst = match self.decode_cached(word) {
-            Some(inst) => inst,
-            None => {
-                return StepResult {
-                    kind: StepKind::Trap {
-                        cause: TrapCause::IllegalInstruction,
-                        tval: u64::from(word),
-                        pc,
-                    },
-                    cycles: fetch_cycles,
-                    now,
-                };
-            }
-        };
+        self.execute_retire(id, pc, inst, fetch_cycles, now, custom)
+    }
 
-        // Execute through the selected data port.
+    /// Executes the fetched `inst` of core `id` through the selected data
+    /// port and retires it at `now`: the body shared by
+    /// [`Soc::step_core`], [`Soc::step_core_with_port`] and
+    /// [`Soc::run_replay_block`].
+    fn execute_retire(
+        &mut self,
+        id: usize,
+        pc: u64,
+        inst: Inst,
+        fetch_cycles: u64,
+        now: u64,
+        custom: Option<&mut dyn DataPort>,
+    ) -> StepResult {
         let prv = self.cores[id].state.prv;
         let counters = CsrCounters {
             cycle: now,
@@ -756,6 +722,137 @@ impl Soc {
         }
     }
 
+    /// Replays consecutive instructions of core `id` through `control`'s
+    /// data port in one dispatch, on the core's local timeline — the
+    /// block form of [`Soc::step_core_with_port`], sharing its fetch,
+    /// execute and retire body. Each instruction's timing and
+    /// architectural effect are those of its own single step; the global
+    /// clock is pulled up once, at dispatch, like
+    /// [`Soc::run_superblock_logged`].
+    ///
+    /// The block ends before an instruction that
+    /// - `control` does not [admit](ReplayControl::admit);
+    /// - would be dispatched at or after `horizon`;
+    /// - does not decode, or is a system, FlexStep or atomic instruction;
+    /// - fails: a trap, a port abort or a disagreeing forwarded branch
+    ///   outcome. The attempt is undone, so the single-step path meets
+    ///   the same failure at the instruction's own dispatch cycle.
+    ///
+    /// Returns the number retired: 0 when the core is not running, has a
+    /// timer armed or pending, or its first instruction cannot run in a
+    /// block — the caller then steps that instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn run_replay_block<C: ReplayControl>(
+        &mut self,
+        id: usize,
+        control: &mut C,
+        horizon: u64,
+    ) -> u64 {
+        {
+            let core = &self.cores[id];
+            if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
+                return 0;
+            }
+        }
+        self.ready.mark_dirty(id);
+        self.now = self.now.max(self.cores[id].ready_at);
+        let mut at = self.now;
+        let mut retired = 0;
+        while at < horizon && control.admit() {
+            let pc = self.cores[id].state.pc;
+            let (word, fetch_cycles) = self.fetch(id, pc, true);
+            let Some(inst) = self.decode_cached(word) else {
+                break;
+            };
+            if matches!(
+                inst.class(),
+                InstClass::System | InstClass::Flex | InstClass::Atomic
+            ) {
+                break;
+            }
+            // A forwarded outcome is checked after `execute` has moved
+            // the pc and written any link register: keep the register so
+            // a failed check can be undone.
+            let link = match inst {
+                Inst::Jal { rd, .. } | Inst::Jalr { rd, .. } => {
+                    Some((rd, self.cores[id].state.x(rd)))
+                }
+                _ => None,
+            };
+            let step = self.execute_retire(id, pc, inst, fetch_cycles, at, Some(control.port()));
+            if !matches!(step.kind, StepKind::Retired(_)) {
+                let state = &mut self.cores[id].state;
+                state.pc = pc;
+                if let Some((rd, value)) = link {
+                    state.set_x(rd, value);
+                }
+                break;
+            }
+            control.retired(step.cycles);
+            retired += 1;
+            at = self.cores[id].ready_at;
+        }
+        retired
+    }
+
+    /// Fetches the instruction word at `pc` for core `id`: the word and
+    /// the fetch cycles charged beyond the pipelined L1 hit.
+    ///
+    /// L0 fast path: a fetch from the line fetched immediately before is
+    /// a guaranteed L1 hit (nothing can evict it in between — the I-cache
+    /// is only mutated by this core's own fetches and is not snooped),
+    /// and skipping its LRU refresh cannot change any replacement
+    /// decision because no other line in the set was touched since.
+    /// Timing and replacement stay bit-exact.
+    ///
+    /// Replay fetches never touch the modelled I-cache: the checker
+    /// re-runs code its main core executed moments ago, so its I-side is
+    /// treated as always-hit (0 cycles beyond the pipelined hit). This
+    /// makes per-segment replay timing a pure function of (start
+    /// checkpoint, log stream, code bytes) — the property the
+    /// segment-verdict memo needs — and is why a checker's L1I stays cold
+    /// (DESIGN.md §13).
+    #[inline]
+    fn fetch(&mut self, id: usize, pc: u64, replay: bool) -> (u32, u64) {
+        let line = pc & self.fetch_line_mask;
+        if self.cores[id].last_fetch_line == line {
+            let w = if self.line_buf_ok {
+                self.cores[id].line_buf[(pc as usize >> 2) & 15]
+            } else {
+                self.mem.phys().read_u32(pc)
+            };
+            (w, 0)
+        } else if replay {
+            self.refill_line_buf(id, line);
+            if self.line_buf_ok {
+                (self.cores[id].line_buf[(pc as usize >> 2) & 15], 0)
+            } else {
+                (self.mem.phys().read_u32(pc), 0)
+            }
+        } else {
+            let (word, fetch_total) = self.mem.fetch(id, pc);
+            self.refill_line_buf(id, line);
+            (word, fetch_total.saturating_sub(self.mem.latency().l1_hit))
+        }
+    }
+
+    /// Makes `line` core `id`'s last fetched line, copying its words into
+    /// the L0 line buffer when the buffer covers a whole line.
+    #[inline]
+    fn refill_line_buf(&mut self, id: usize, line: u64) {
+        self.cores[id].last_fetch_line = line;
+        if self.line_buf_ok {
+            let phys = self.mem.phys();
+            let core = &mut self.cores[id];
+            for (i, slot) in core.line_buf.iter_mut().enumerate() {
+                *slot = phys.read_u32(line + 4 * i as u64);
+            }
+        }
+    }
+
     /// Completes a [`StepKind::Flex`] instruction on behalf of the
     /// platform: writes `rd` and advances `pc` past the instruction,
     /// charging one cycle.
@@ -777,7 +874,6 @@ impl Soc {
     /// non-atomic, non-system work whose timing has no control-flow
     /// component and whose semantics read no live counters.
     fn block_eligible(inst: &Inst) -> bool {
-        use flexstep_isa::inst::InstClass;
         matches!(
             inst.class(),
             InstClass::Alu | InstClass::MulDiv | InstClass::Load | InstClass::Store | InstClass::Fp
@@ -875,14 +971,7 @@ impl Soc {
                 0
             } else {
                 let (_, fetch_total) = self.mem.fetch(id, pc);
-                self.cores[id].last_fetch_line = line;
-                if self.line_buf_ok {
-                    let phys = self.mem.phys();
-                    let core = &mut self.cores[id];
-                    for (i, w) in core.line_buf.iter_mut().enumerate() {
-                        *w = phys.read_u32(line + 4 * i as u64);
-                    }
-                }
+                self.refill_line_buf(id, line);
                 fetch_total.saturating_sub(self.mem.latency().l1_hit)
             };
             let counters = CsrCounters {
@@ -1248,6 +1337,222 @@ mod tests {
             2,
             "a store into text is code patching and bumps the epoch"
         );
+    }
+
+    /// Replay control over a stub port: loads read 7, stores are
+    /// accepted, and every forwarded branch outcome disagrees when
+    /// `diverge` is set. Admits up to `budget` instructions.
+    #[derive(Default)]
+    struct StubReplay {
+        budget: usize,
+        diverge: bool,
+        accesses: u64,
+        retired: Vec<u64>,
+    }
+
+    impl DataPort for StubReplay {
+        fn read(&mut self, _: u64, _: u8) -> Result<(u64, u64), PortStop> {
+            self.accesses += 1;
+            Ok((7, 0))
+        }
+        fn write(&mut self, _: u64, _: u64, _: u8) -> Result<u64, PortStop> {
+            self.accesses += 1;
+            Ok(0)
+        }
+        fn store_conditional(
+            &mut self,
+            _: u64,
+            _: u64,
+            _: u8,
+            _: bool,
+        ) -> Result<(bool, u64), PortStop> {
+            Ok((true, 0))
+        }
+        fn amo(
+            &mut self,
+            _: u64,
+            _: flexstep_isa::inst::AmoWidth,
+            _: flexstep_isa::inst::AmoOp,
+            _: u64,
+        ) -> Result<(u64, u64), PortStop> {
+            Ok((0, 0))
+        }
+        fn branch_outcome(&mut self, _: u64) -> Result<bool, PortStop> {
+            if self.diverge {
+                Err(PortStop::new("diverged"))
+            } else {
+                Ok(false)
+            }
+        }
+    }
+
+    impl ReplayControl for StubReplay {
+        fn port(&mut self) -> &mut dyn DataPort {
+            self
+        }
+        fn admit(&mut self) -> bool {
+            self.retired.len() < self.budget
+        }
+        fn retired(&mut self, cycles: u64) {
+            self.retired.push(cycles);
+        }
+    }
+
+    /// Loads, stores, branches and calls: a replayable user loop.
+    fn replay_program() -> Program {
+        let mut asm = Assembler::new("replay");
+        asm.li(XReg::SP, 0x2000);
+        asm.li(XReg::A1, 50);
+        asm.label("loop").unwrap();
+        asm.ld(XReg::A0, XReg::SP, 0);
+        asm.add(XReg::A2, XReg::A2, XReg::A0);
+        asm.sd(XReg::SP, XReg::A2, 8);
+        asm.call("f");
+        asm.addi(XReg::A1, XReg::A1, -1);
+        asm.bnez(XReg::A1, "loop");
+        asm.ecall();
+        asm.label("f").unwrap();
+        asm.addi(XReg::A3, XReg::A3, 1);
+        asm.ret();
+        asm.finish().unwrap()
+    }
+
+    /// Instructions before `replay_program`'s loop.
+    fn prologue_len(p: &Program) -> u64 {
+        (p.symbol("loop").unwrap() - p.entry) / 4
+    }
+
+    fn replay_soc(p: &Program) -> Soc {
+        let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
+        soc.load_program(p);
+        let core = soc.core_mut(0);
+        core.state.pc = p.entry;
+        core.state.prv = PrivMode::User;
+        core.unpark();
+        soc
+    }
+
+    #[test]
+    fn replay_block_retires_each_instruction_like_its_single_step() {
+        let p = replay_program();
+        let mut stepped = replay_soc(&p);
+        let mut port = StubReplay::default();
+        let mut cycles = Vec::new();
+        for _ in 0..120 {
+            let r = stepped.step_core_with_port(0, &mut port);
+            assert!(matches!(r.kind, StepKind::Retired(_)), "{r:?}");
+            cycles.push(r.cycles);
+        }
+        let mut blocked = replay_soc(&p);
+        let mut control = StubReplay {
+            budget: 120,
+            ..StubReplay::default()
+        };
+        assert_eq!(blocked.run_replay_block(0, &mut control, u64::MAX), 120);
+        assert_eq!(control.retired, cycles, "per-instruction charges");
+        assert_eq!(control.accesses, port.accesses);
+        let (a, b) = (stepped.core(0), blocked.core(0));
+        assert_eq!((a.ready_at, a.instret), (b.ready_at, b.instret));
+        assert_eq!(a.state.snapshot(), b.state.snapshot());
+        assert_eq!(blocked.now(), 0, "the global clock stays at dispatch");
+    }
+
+    #[test]
+    fn replay_block_stops_at_the_horizon_and_before_system_instructions() {
+        let p = replay_program();
+        let mut soc = replay_soc(&p);
+        let mut control = StubReplay {
+            budget: usize::MAX,
+            ..StubReplay::default()
+        };
+        let horizon = 40;
+        let n = soc.run_replay_block(0, &mut control, horizon) as usize;
+        let last_dispatch: u64 = control.retired[..n - 1].iter().sum();
+        assert!(
+            last_dispatch < horizon,
+            "every instruction dispatched before it"
+        );
+        assert!(
+            soc.core(0).ready_at >= horizon,
+            "the next one would reach it"
+        );
+        assert_eq!(
+            soc.run_replay_block(0, &mut control, 0),
+            0,
+            "horizon 0 replays nothing"
+        );
+
+        // Without a horizon the block runs the whole loop (8 instructions
+        // an iteration, the call included) and stops before the `ecall`.
+        let mut soc = replay_soc(&p);
+        let n = soc.run_replay_block(0, &mut control, u64::MAX);
+        assert_eq!(n, prologue_len(&p) + 50 * 8);
+        assert!(matches!(
+            soc.step_core_with_port(0, &mut control).kind,
+            StepKind::Trap {
+                cause: TrapCause::EcallFromU,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn replay_block_leaves_counter_reads_and_atomics_to_single_steps() {
+        use flexstep_isa::inst::{AmoOp, AmoWidth, CsrOp};
+        let mut asm = Assembler::new("gates");
+        asm.addi(XReg::A1, XReg::A1, 8);
+        asm.push(Inst::Csr {
+            op: CsrOp::Rs,
+            rd: XReg::A0,
+            src: 0,
+            csr: flexstep_isa::csr::CYCLE,
+        });
+        asm.addi(XReg::A2, XReg::A2, 1);
+        asm.push(Inst::Amo {
+            op: AmoOp::Add,
+            width: AmoWidth::D,
+            rd: XReg::A3,
+            rs1: XReg::A1,
+            rs2: XReg::A2,
+        });
+        asm.addi(XReg::A2, XReg::A2, 1);
+        asm.ecall();
+        let p = asm.finish().unwrap();
+        let mut soc = replay_soc(&p);
+        let mut control = StubReplay {
+            budget: usize::MAX,
+            ..StubReplay::default()
+        };
+        // Each block runs one `addi` and stops before the next system
+        // or atomic instruction, which the single-step path retires.
+        for _ in 0..2 {
+            assert_eq!(soc.run_replay_block(0, &mut control, u64::MAX), 1);
+            let step = soc.step_core_with_port(0, &mut control);
+            assert!(matches!(step.kind, StepKind::Retired(_)), "{step:?}");
+        }
+        assert_eq!(soc.run_replay_block(0, &mut control, u64::MAX), 1);
+        assert_eq!(soc.core(0).instret, 5);
+    }
+
+    #[test]
+    fn a_rejected_branch_outcome_is_undone() {
+        let p = replay_program();
+        let mut soc = replay_soc(&p);
+        let mut control = StubReplay {
+            budget: usize::MAX,
+            diverge: true,
+            ..StubReplay::default()
+        };
+        // The prologue and the loop head up to the call retire; the
+        // call's forwarded outcome disagrees, so it is undone and left
+        // for a single step.
+        let before_call = prologue_len(&p) + 3;
+        assert_eq!(soc.run_replay_block(0, &mut control, u64::MAX), before_call);
+        assert_eq!(soc.core(0).state.pc, p.entry + 4 * before_call);
+        assert_eq!(soc.core(0).state.x(XReg::RA), 0, "link register restored");
+        assert_eq!(soc.core(0).instret, before_call);
+        let step = soc.step_core_with_port(0, &mut control);
+        assert!(matches!(step.kind, StepKind::Stopped(_)), "{step:?}");
     }
 
     #[test]
