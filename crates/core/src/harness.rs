@@ -5,22 +5,18 @@
 //! configurations up to many-core SoCs with arbitrated shared checkers
 //! (Fig. 8-style) — through its guest programs without a full OS: it
 //! interleaves ready cores, executes the scenario's fault plan, feeds
-//! observers, and produces a [`RunReport`].
-//!
-//! Construct runs with [`Scenario`](crate::Scenario) (the old `dual_core`/`triple_core`
-//! constructor shims are gone; `tests/scenario_validation.rs` pins the
-//! equivalent builder topologies).
+//! observers, and produces a [`RunReport`]. Construct runs with
+//! [`Scenario`](crate::Scenario).
 
 use crate::checker::{CheckPhase, CheckerState};
 use crate::detect::{DetectionEvent, SegmentResult};
 use crate::engine::{EngineStep, FlexSoc};
 use crate::fabric::{Fabric, FabricConfig};
 use crate::scenario::{
-    Binding, FaultDriver, FaultPlan, Injection, Observer, RecoveryPolicy, ResolvedTopology,
-    ScenarioError,
+    Binding, FaultDriver, FaultPlan, Injection, RecoveryPolicy, ResolvedTopology, ScenarioError,
 };
 use crate::share::{ArbiterStats, CheckerArbiter};
-use crate::sink::{EventBuffer, RunEvent};
+use crate::sink::{Observer, RecordingObserver, RunEvent};
 use crate::trace::TraceObserver;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
@@ -432,7 +428,7 @@ pub struct VerifiedRun {
     /// the destination path and the owned recording observer.
     trace: Option<(std::path::PathBuf, TraceObserver)>,
     /// Owned event recording enabled via [`Scenario::record_events`].
-    recorded: Option<EventBuffer>,
+    recorded: Option<RecordingObserver>,
     /// Rollback bookkeeping, one slot per main; `None` under
     /// [`RecoveryPolicy::Detect`] so the detect path stays untouched.
     recovery: Option<RecoveryState>,
@@ -772,7 +768,7 @@ impl VerifiedRun {
             faults: FaultDriver::new(fault_plan),
             injections: Vec::new(),
             trace,
-            recorded: record_events.then(EventBuffer::new),
+            recorded: record_events.then(RecordingObserver::new),
             recovery,
             dead_checkers: vec![false; num_checkers],
             checkers_lost: 0,
@@ -804,18 +800,18 @@ impl VerifiedRun {
         Ok(run)
     }
 
-    /// Dispatches one event to every attached sink: live observers
-    /// first, then the by-value trace observer, then the recorded
-    /// buffer. One choke point keeps the three views consistent.
+    /// Sends one event to every attached observer: live observers
+    /// first, then the trace, then the recording. Every event goes
+    /// through here, so the three views never disagree.
     fn emit(&mut self, ev: RunEvent) {
         for o in &mut self.observers {
-            ev.dispatch(o.as_mut());
+            o.event(&ev);
         }
         if let Some((_, t)) = &mut self.trace {
-            ev.dispatch(t);
+            t.event(&ev);
         }
-        if let Some(buf) = &mut self.recorded {
-            buf.push(ev);
+        if let Some(r) = &mut self.recorded {
+            r.event(&ev);
         }
     }
 
@@ -926,26 +922,11 @@ impl VerifiedRun {
         }
     }
 
-    /// The recorded event buffer enabled via
-    /// [`Scenario::record_events`](crate::Scenario::record_events) (`None` when recording is off).
-    pub fn events(&self) -> Option<&EventBuffer> {
+    /// The events recorded via
+    /// [`Scenario::record_events`](crate::Scenario::record_events)
+    /// (`None` when recording is off).
+    pub fn recording(&self) -> Option<&RecordingObserver> {
         self.recorded.as_ref()
-    }
-
-    /// Replays the recorded event buffer into `observer` — the post-run
-    /// equivalent of having attached it live. A no-op when
-    /// [`Scenario::record_events`](crate::Scenario::record_events) was not enabled.
-    pub fn replay_events(&self, observer: &mut dyn Observer) {
-        if let Some(buf) = &self.recorded {
-            buf.replay(observer);
-        }
-    }
-
-    /// Takes ownership of the recorded event buffer, leaving recording
-    /// enabled with a fresh empty buffer (`None` when recording is
-    /// off). Workers hand buffers to an aggregator this way.
-    pub fn take_events(&mut self) -> Option<EventBuffer> {
-        self.recorded.as_mut().map(std::mem::take)
     }
 
     /// Whether every main core has reached its final `ecall`.
@@ -1608,9 +1589,7 @@ impl VerifiedRun {
             for channel in expired {
                 let main = self.mains[channel];
                 self.note_unchecked_expiry(channel, now);
-                for o in &mut self.observers {
-                    o.on_shot_expired(main, now);
-                }
+                self.emit(RunEvent::ShotExpired { main, cycle: now });
             }
             for checker_idx in kills {
                 self.kill_checker(checker_idx);
@@ -1940,7 +1919,7 @@ pub fn baseline_cycles(
 mod tests {
     use super::*;
     use crate::fault::FaultTarget;
-    use crate::scenario::{RecordingObserver, Scenario, Topology};
+    use crate::scenario::{Scenario, Topology};
     use flexstep_isa::asm::Assembler;
     use flexstep_isa::XReg;
 
@@ -2463,11 +2442,10 @@ mod tests {
 
     #[test]
     fn check_fail_fires_before_the_matching_detection() {
-        // The Observer doc promises: "the matching detection event
-        // follows via on_detection". Pin the emission order — every
-        // Detection must be immediately preceded by the CheckFail for
-        // the same checker and segment.
-        use crate::scenario::ObserverEvent;
+        // `RunEvent::CheckFail` promises that the matching detection
+        // follows immediately. Pin the emission order — every Detection
+        // must be immediately preceded by the CheckFail for the same
+        // checker and segment.
         let p = store_loop(4000);
         let mut run = Scenario::new(&p)
             .cores(2)
@@ -2477,21 +2455,19 @@ mod tests {
             .unwrap();
         let r = run.run_to_completion(50_000_000);
         assert!(!r.detections.is_empty(), "the flip must be caught");
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let events = rec.events();
+        let events = run.recording().expect("recording enabled").events();
         let mut detections_seen = 0;
         for (i, e) in events.iter().enumerate() {
-            if let ObserverEvent::Detection(d) = e {
+            if let RunEvent::Detection(d) = e {
                 detections_seen += 1;
                 assert!(i > 0, "a detection can never be the first event");
                 assert!(
                     matches!(
                         &events[i - 1],
-                        ObserverEvent::CheckFail(checker, seq, _)
-                            if *checker == d.checker_core && *seq == d.segment_seq
+                        RunEvent::CheckFail { checker, result }
+                            if *checker == d.checker_core && result.seq == d.segment_seq
                     ),
-                    "on_check_fail must immediately precede on_detection \
+                    "CheckFail must immediately precede Detection \
                      for the same segment; got {:?} before {:?}",
                     events[i - 1],
                     e
@@ -2506,27 +2482,24 @@ mod tests {
         // Every pass/fail verdict must have been preceded by a
         // CheckStart for the same checker and segment — the pairing the
         // trace exporter turns into checker-occupancy spans.
-        use crate::scenario::ObserverEvent;
         let p = store_loop(2000);
         let mut run = Scenario::new(&p).cores(2).record_events().build().unwrap();
         let r = run.run_to_completion(10_000_000);
         assert!(r.completed);
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let events = rec.events();
+        let events = run.recording().expect("recording enabled").events();
         let mut open: Option<(usize, u64)> = None;
         let mut verdicts = 0;
         for e in events {
             match e {
-                ObserverEvent::CheckStart(checker, _main, seq, _) => {
+                RunEvent::CheckStart { checker, seq, .. } => {
                     assert_eq!(open, None, "a checker cannot start two replays at once");
                     open = Some((*checker, *seq));
                 }
-                ObserverEvent::CheckPass(checker, seq, _)
-                | ObserverEvent::CheckFail(checker, seq, _) => {
+                RunEvent::CheckPass { checker, result }
+                | RunEvent::CheckFail { checker, result } => {
                     assert_eq!(
                         open.take(),
-                        Some((*checker, *seq)),
+                        Some((*checker, result.seq)),
                         "verdict without a matching CheckStart"
                     );
                     verdicts += 1;
@@ -2540,29 +2513,40 @@ mod tests {
 
     #[test]
     fn expired_shots_notify_observers() {
-        use crate::scenario::ObserverEvent;
+        // Both expiry paths — after completion and mid-run — reach every
+        // sink: the recording and the trace alike.
         let p = store_loop(300);
-        let mut run = Scenario::new(&p)
+        let after_completion = Scenario::new(&p)
             .cores(2)
-            .fault_plan(FaultPlan::random_with_seed(u64::MAX / 2, 1))
-            .record_events()
-            .build()
-            .unwrap();
-        let r = run.run_to_completion(50_000_000);
-        assert_eq!(r.shots_expired, 1);
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let expiries: Vec<_> = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ObserverEvent::ShotExpired(0, _)))
-            .collect();
-        assert_eq!(expiries.len(), 1, "one expiry event for the one shot");
+            .fault_plan(FaultPlan::random_with_seed(u64::MAX / 2, 1));
+        for scenario in [after_completion, shot_on_drained_stream()] {
+            let mut run = scenario
+                .record_events()
+                .trace_to(std::env::temp_dir().join("flexstep_expiry_unwritten.json"))
+                .build()
+                .unwrap();
+            let r = run.run_to_completion(50_000_000);
+            assert_eq!(r.shots_expired, 1);
+            let recorded = run
+                .recording()
+                .expect("recording enabled")
+                .events()
+                .iter()
+                .filter(|e| matches!(e, RunEvent::ShotExpired { main: 0, .. }))
+                .count();
+            assert_eq!(recorded, 1, "one recorded expiry for the one shot");
+            let traced = run
+                .trace()
+                .expect("trace enabled")
+                .to_chrome_json()
+                .matches("\"name\": \"shot expired\"")
+                .count();
+            assert_eq!(traced, 1, "one traced expiry for the one shot");
+        }
     }
 
     #[test]
     fn shared_checker_grants_are_observable() {
-        use crate::scenario::ObserverEvent;
         use flexstep_isa::asm::Assembler;
         let job = |slot: u64, iters: i64| {
             let mut asm = Assembler::with_bases(
@@ -2589,13 +2573,17 @@ mod tests {
         let r = run.run_to_completion(50_000_000);
         assert!(r.completed);
         assert_eq!(r.arbiters[0].switches, 1, "one hand-over");
-        let mut rec = RecordingObserver::new();
-        run.replay_events(&mut rec);
-        let grants: Vec<(usize, usize, u64)> = rec
+        let grants: Vec<(usize, usize, u64)> = run
+            .recording()
+            .expect("recording enabled")
             .events()
             .iter()
-            .filter_map(|e| match e {
-                ObserverEvent::CheckerGranted(c, m, at) => Some((*c, *m, *at)),
+            .filter_map(|e| match *e {
+                RunEvent::CheckerGranted {
+                    checker,
+                    main,
+                    cycle,
+                } => Some((checker, main, cycle)),
                 _ => None,
             })
             .collect();
@@ -2615,15 +2603,19 @@ mod tests {
         let p = store_loop(800);
         let run = Scenario::new(&p).cores(2).record_events().build().unwrap();
         let baseline = dual(&p, FabricConfig::paper()).run_to_completion(10_000_000);
-        let report = std::thread::spawn(move || {
+        let (report, run) = std::thread::spawn(move || {
             let mut run = run;
             let r = run.run_to_completion(10_000_000);
-            (r, run.take_events().expect("recording enabled"))
+            (r, run)
         })
         .join()
         .unwrap();
-        assert_eq!(report.0, baseline, "cross-thread run is bit-identical");
-        assert!(!report.1.is_empty(), "the buffer came back with the run");
+        assert_eq!(report, baseline, "cross-thread run is bit-identical");
+        let recording = run.recording().expect("recording enabled");
+        assert!(
+            !recording.events().is_empty(),
+            "the recording came back with the run"
+        );
     }
 
     #[test]
@@ -2769,16 +2761,15 @@ mod tests {
         assert_eq!(r.shots_expired, 1, "report() must finalize expiry");
     }
 
-    #[test]
-    fn shot_on_drained_stream_expires_mid_run() {
-        // Main 0 (slot 0) is short: it finishes and its stream drains
-        // while main 1 (slot 1) is still running. A shot armed on
-        // channel 0 after that drain must expire through the live
-        // fire_due path — the run is NOT complete when it arms.
-        let short = {
-            let mut asm = Assembler::with_bases("short", 0x1000_0000, 0x2000_0000);
-            asm.li(XReg::A0, 100);
-            asm.li(XReg::A2, 0x2000_0000);
+    /// Main 0 (slot 0) is short: it finishes and its stream drains
+    /// while main 1 (slot 1) is still running. A shot armed on channel 0
+    /// after that drain must expire through the live `fire_due` path —
+    /// the run is NOT complete when it arms.
+    fn shot_on_drained_stream() -> Scenario {
+        let job = |name: &str, text: u64, data: u64, iters: i64| {
+            let mut asm = Assembler::with_bases(name, text, data);
+            asm.li(XReg::A0, iters);
+            asm.li(XReg::A2, data as i64);
             asm.label("l").unwrap();
             asm.sd(XReg::A2, XReg::A0, 0);
             asm.addi(XReg::A0, XReg::A0, -1);
@@ -2786,24 +2777,16 @@ mod tests {
             asm.ecall();
             asm.finish().unwrap()
         };
-        let long = {
-            let mut asm = Assembler::with_bases("long", 0x1100_0000, 0x2100_0000);
-            asm.li(XReg::A0, 8_000);
-            asm.li(XReg::A2, 0x2100_0000);
-            asm.label("l").unwrap();
-            asm.sd(XReg::A2, XReg::A0, 0);
-            asm.addi(XReg::A0, XReg::A0, -1);
-            asm.bnez(XReg::A0, "l");
-            asm.ecall();
-            asm.finish().unwrap()
-        };
-        let mut run = Scenario::new(&short)
-            .program(&long)
+        Scenario::new(&job("short", 0x1000_0000, 0x2000_0000, 100))
+            .program(&job("long", 0x1100_0000, 0x2100_0000, 8_000))
             .cores(4)
             .topology(Topology::PairedLockstep)
             .fault_plan(FaultPlan::none().then_random_at(10_000).on_channel(0))
-            .build()
-            .unwrap();
+    }
+
+    #[test]
+    fn shot_on_drained_stream_expires_mid_run() {
+        let mut run = shot_on_drained_stream().build().unwrap();
         // The shot arms at 10k cycles: main 0 (~100 iterations) drains
         // long before, main 1 (~8k iterations) is still producing.
         let r = run.run_to_completion(50_000_000);

@@ -25,6 +25,8 @@
 //!   front door for experiments (topology, fault plans, observers) —
 //!   and the [`VerifiedRun`] driver it builds, from dual-core Fig. 4
 //!   runs to many-core shared-checker SoCs.
+//! - [`sink`]: [`RunEvent`], the one vocabulary a run reports in, and
+//!   the one-method [`Observer`] trait that receives it.
 //! - [`trace`]: Chrome `trace_event` export of the schedule an observer
 //!   sees (segment spans, checker occupancy, arbitration, detections) —
 //!   load the file in `chrome://tracing`/Perfetto.
@@ -118,10 +120,7 @@ pub use harness::{
 };
 pub use packet::{log_entries, Checkpoint, LogEntry, LogKind, Packet, PacketMut, PacketRef};
 pub use rcpm::{Ass, SegmentClose, SegmentTracker, DEFAULT_SEGMENT_LIMIT};
-pub use scenario::{
-    FaultPlan, Injection, Observer, ObserverEvent, ObserverSummary, RecordingObserver,
-    RecoveryPolicy, Scenario, ScenarioError, Topology,
-};
+pub use scenario::{FaultPlan, Injection, RecoveryPolicy, Scenario, ScenarioError, Topology};
 pub use share::{ArbiterStats, CheckerArbiter};
-pub use sink::{EventBuffer, RunEvent};
+pub use sink::{Observer, ObserverSummary, RecordingObserver, RunEvent};
 pub use trace::{TraceObserver, DEFAULT_RING_CAPACITY};

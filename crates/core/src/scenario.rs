@@ -42,10 +42,10 @@
 //! checker sharing ([`Topology::SharedChecker`]) at any core count —
 //! including the many-core (Fig. 8-style) 16–64 core sweeps.
 
-use crate::detect::{DetectionEvent, SegmentResult};
 use crate::fabric::{FabricConfig, FlexError};
 use crate::fault::{inject_random_fault, inject_targeted_fault, FaultTarget};
 use crate::harness::VerifiedRun;
+use crate::sink::Observer;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_sim::{CoreModelKind, PairingSchedule, ReliabilityMode, SchedMode};
@@ -146,7 +146,7 @@ struct FaultShot {
 /// methodology injects into *forwarded* data, so an empty FIFO defers
 /// the shot to the next step). Fired shots are reported in
 /// [`RunReport::injections`](crate::RunReport::injections) and surfaced
-/// to observers via [`Observer::on_fault_injected`].
+/// to observers as [`RunEvent::FaultInjected`](crate::RunEvent::FaultInjected).
 ///
 /// The combinators chain left to right: `then_*` appends a shot,
 /// [`FaultPlan::on_channel`] / [`FaultPlan::bits`] retarget/widen the
@@ -487,309 +487,6 @@ impl FaultDriver {
 }
 
 // ---------------------------------------------------------------------------
-// Observers
-// ---------------------------------------------------------------------------
-
-/// Callbacks invoked by the run loop as verification progresses.
-///
-/// All methods have empty defaults — implement only what you watch.
-/// Observers are notification-only: they cannot perturb the run, so a
-/// run with observers is bit-identical to one without.
-pub trait Observer {
-    /// A main core opened a checking segment.
-    fn on_segment_open(&mut self, main: usize, seq: u64, cycle: u64) {
-        let _ = (main, seq, cycle);
-    }
-    /// A main core closed a checking segment (count limit or privilege
-    /// switch).
-    fn on_segment_close(&mut self, main: usize, seq: u64, cycle: u64) {
-        let _ = (main, seq, cycle);
-    }
-    /// A checker applied a segment's SCP and entered replay — the start
-    /// of the checker-occupancy window that ends with the verdict
-    /// ([`Observer::on_check_pass`] / [`Observer::on_check_fail`]).
-    /// `main` is the core whose stream is being verified; in
-    /// shared-checker topologies this attributes the busy span to the
-    /// granted main.
-    fn on_check_start(&mut self, checker: usize, main: usize, seq: u64, cycle: u64) {
-        let _ = (checker, main, seq, cycle);
-    }
-    /// A checker verified a segment clean.
-    fn on_check_pass(&mut self, checker: usize, result: &SegmentResult) {
-        let _ = (checker, result);
-    }
-    /// A checker failed a segment (the matching detection event follows
-    /// via [`Observer::on_detection`]).
-    fn on_check_fail(&mut self, checker: usize, result: &SegmentResult) {
-        let _ = (checker, result);
-    }
-    /// An error was detected.
-    fn on_detection(&mut self, event: &DetectionEvent) {
-        let _ = event;
-    }
-    /// A scheduled fault landed in a stream.
-    fn on_fault_injected(&mut self, injection: &Injection) {
-        let _ = injection;
-    }
-    /// An armed shot expired without landing: `main`'s stream drained
-    /// for good, or the run completed before the arming cycle. Expired
-    /// shots are counted in
-    /// [`RunReport::shots_expired`](crate::RunReport::shots_expired)
-    /// and never appear in
-    /// [`RunReport::injections`](crate::RunReport::injections).
-    fn on_shot_expired(&mut self, main: usize, cycle: u64) {
-        let _ = (main, cycle);
-    }
-    /// A §III-C arbiter connected `main`'s stream to a shared checker
-    /// (the initial grants fire at cycle 0, hand-overs when they
-    /// happen).
-    fn on_checker_granted(&mut self, checker: usize, main: usize, cycle: u64) {
-        let _ = (checker, main, cycle);
-    }
-    /// A shared checker with a drained arbitration queue was parked (a
-    /// later grant unparks it).
-    fn on_checker_parked(&mut self, checker: usize, cycle: u64) {
-        let _ = (checker, cycle);
-    }
-    /// A main core finished its program.
-    fn on_main_finished(&mut self, main: usize, cycle: u64) {
-        let _ = (main, cycle);
-    }
-    /// Rollback recovery started: `main` was rolled back to segment
-    /// `seq`'s SCP boundary for re-execution
-    /// ([`RecoveryPolicy::Rollback`] only).
-    fn on_recovery_start(&mut self, main: usize, seq: u64, cycle: u64) {
-        let _ = (main, seq, cycle);
-    }
-    /// Rollback recovery completed: `main` re-executed and a segment
-    /// verified clean again, `latency` cycles after the detection.
-    fn on_recovery_complete(&mut self, main: usize, cycle: u64, latency: u64) {
-        let _ = (main, cycle, latency);
-    }
-    /// A checker core suffered a scheduled permanent failure
-    /// ([`FaultPlan::kill_checker_at`]); its channels re-pair onto
-    /// surviving checkers (watch [`Observer::on_checker_granted`]) or
-    /// degrade to unchecked execution.
-    fn on_checker_killed(&mut self, checker: usize, cycle: u64) {
-        let _ = (checker, cycle);
-    }
-    /// A main released its checker by pairing policy
-    /// ([`Scenario::pairing_schedule`]); the release lands on a segment
-    /// boundary, and execution runs unchecked until re-acquire.
-    fn on_checker_released(&mut self, main: usize, cycle: u64) {
-        let _ = (main, cycle);
-    }
-    /// A main re-acquired checking by pairing policy (shared slots
-    /// re-enter arbitration — the connection itself still arrives via
-    /// [`Observer::on_checker_granted`]).
-    fn on_checker_acquired(&mut self, main: usize, cycle: u64) {
-        let _ = (main, cycle);
-    }
-}
-
-/// Everything a [`RecordingObserver`] captures, in event order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObserverEvent {
-    /// Segment opened on a main core: `(main, seq, cycle)`.
-    SegmentOpen(usize, u64, u64),
-    /// Segment closed on a main core: `(main, seq, cycle)`.
-    SegmentClose(usize, u64, u64),
-    /// Checker entered replay: `(checker, main, seq, cycle)`.
-    CheckStart(usize, usize, u64, u64),
-    /// Checker passed a segment: `(checker, seq, cycle)`.
-    CheckPass(usize, u64, u64),
-    /// Checker failed a segment: `(checker, seq, cycle)`.
-    CheckFail(usize, u64, u64),
-    /// Detection event.
-    Detection(DetectionEvent),
-    /// Fault injection landed.
-    Fault(Injection),
-    /// Armed shot expired without landing: `(main, cycle)`.
-    ShotExpired(usize, u64),
-    /// Arbiter connected a main to a shared checker:
-    /// `(checker, main, cycle)`.
-    CheckerGranted(usize, usize, u64),
-    /// Idle shared checker parked: `(checker, cycle)`.
-    CheckerParked(usize, u64),
-    /// Main core finished: `(main, cycle)`.
-    MainFinished(usize, u64),
-    /// Rollback recovery started: `(main, seq, cycle)`.
-    RecoveryStart(usize, u64, u64),
-    /// Rollback recovery completed: `(main, cycle, latency_cycles)`.
-    RecoveryComplete(usize, u64, u64),
-    /// Checker core permanently failed: `(checker, cycle)`.
-    CheckerKilled(usize, u64),
-    /// Main released its checker by pairing policy: `(main, cycle)`.
-    CheckerReleased(usize, u64),
-    /// Main re-acquired checking by pairing policy: `(main, cycle)`.
-    CheckerAcquired(usize, u64),
-}
-
-/// Aggregate counters over an observed run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObserverSummary {
-    /// Segments opened across all mains.
-    pub segments_opened: u64,
-    /// Segments closed across all mains.
-    pub segments_closed: u64,
-    /// Segments verified clean.
-    pub checks_passed: u64,
-    /// Segments that failed verification.
-    pub checks_failed: u64,
-    /// Detection events.
-    pub detections: u64,
-    /// Faults that landed.
-    pub faults_injected: u64,
-    /// Cycle of the first detection, if any (with
-    /// [`ObserverSummary::first_fault_cycle`], the headline detection
-    /// latency).
-    pub first_detection_cycle: Option<u64>,
-    /// Cycle of the first landed fault, if any.
-    pub first_fault_cycle: Option<u64>,
-    /// Rollback recoveries completed (detection → verified again).
-    pub recoveries: u64,
-    /// Checker cores permanently failed.
-    pub checkers_lost: u64,
-    /// Pairing-policy checker releases.
-    pub checker_releases: u64,
-    /// Pairing-policy checker re-acquires.
-    pub checker_acquires: u64,
-}
-
-impl ObserverSummary {
-    /// Detection latency in cycles from the first landed fault to the
-    /// first detection, if both happened.
-    pub fn detection_latency_cycles(&self) -> Option<u64> {
-        match (self.first_fault_cycle, self.first_detection_cycle) {
-            (Some(f), Some(d)) => Some(d.saturating_sub(f)),
-            _ => None,
-        }
-    }
-
-    /// Renders the summary as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = crate::json::JsonObject::new();
-        o.field_u64("segments_opened", self.segments_opened)
-            .field_u64("segments_closed", self.segments_closed)
-            .field_u64("checks_passed", self.checks_passed)
-            .field_u64("checks_failed", self.checks_failed)
-            .field_u64("detections", self.detections)
-            .field_u64("faults_injected", self.faults_injected)
-            .field_u64("recoveries", self.recoveries)
-            .field_u64("checkers_lost", self.checkers_lost);
-        match self.detection_latency_cycles() {
-            Some(l) => o.field_u64("detection_latency_cycles", l),
-            None => o.field_raw("detection_latency_cycles", "null"),
-        };
-        o.finish()
-    }
-}
-
-/// A ready-made [`Observer`] that records every event and keeps the
-/// aggregate [`ObserverSummary`].
-#[derive(Debug, Default)]
-pub struct RecordingObserver {
-    events: Vec<ObserverEvent>,
-    summary: ObserverSummary,
-}
-
-impl RecordingObserver {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events, in order.
-    pub fn events(&self) -> &[ObserverEvent] {
-        &self.events
-    }
-
-    /// The aggregate counters.
-    pub fn summary(&self) -> ObserverSummary {
-        self.summary
-    }
-}
-
-impl Observer for RecordingObserver {
-    fn on_segment_open(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.summary.segments_opened += 1;
-        self.events
-            .push(ObserverEvent::SegmentOpen(main, seq, cycle));
-    }
-    fn on_segment_close(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.summary.segments_closed += 1;
-        self.events
-            .push(ObserverEvent::SegmentClose(main, seq, cycle));
-    }
-    fn on_check_start(&mut self, checker: usize, main: usize, seq: u64, cycle: u64) {
-        self.events
-            .push(ObserverEvent::CheckStart(checker, main, seq, cycle));
-    }
-    fn on_check_pass(&mut self, checker: usize, result: &SegmentResult) {
-        self.summary.checks_passed += 1;
-        self.events
-            .push(ObserverEvent::CheckPass(checker, result.seq, result.at));
-    }
-    fn on_check_fail(&mut self, checker: usize, result: &SegmentResult) {
-        self.summary.checks_failed += 1;
-        self.events
-            .push(ObserverEvent::CheckFail(checker, result.seq, result.at));
-    }
-    fn on_detection(&mut self, event: &DetectionEvent) {
-        self.summary.detections += 1;
-        if self.summary.first_detection_cycle.is_none() {
-            self.summary.first_detection_cycle = Some(event.detected_at);
-        }
-        self.events.push(ObserverEvent::Detection(event.clone()));
-    }
-    fn on_fault_injected(&mut self, injection: &Injection) {
-        self.summary.faults_injected += 1;
-        if self.summary.first_fault_cycle.is_none() {
-            self.summary.first_fault_cycle = Some(injection.at_cycle);
-        }
-        self.events.push(ObserverEvent::Fault(injection.clone()));
-    }
-    fn on_shot_expired(&mut self, main: usize, cycle: u64) {
-        self.events.push(ObserverEvent::ShotExpired(main, cycle));
-    }
-    fn on_checker_granted(&mut self, checker: usize, main: usize, cycle: u64) {
-        self.events
-            .push(ObserverEvent::CheckerGranted(checker, main, cycle));
-    }
-    fn on_checker_parked(&mut self, checker: usize, cycle: u64) {
-        self.events
-            .push(ObserverEvent::CheckerParked(checker, cycle));
-    }
-    fn on_main_finished(&mut self, main: usize, cycle: u64) {
-        self.events.push(ObserverEvent::MainFinished(main, cycle));
-    }
-    fn on_recovery_start(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.events
-            .push(ObserverEvent::RecoveryStart(main, seq, cycle));
-    }
-    fn on_recovery_complete(&mut self, main: usize, cycle: u64, latency: u64) {
-        self.summary.recoveries += 1;
-        self.events
-            .push(ObserverEvent::RecoveryComplete(main, cycle, latency));
-    }
-    fn on_checker_killed(&mut self, checker: usize, cycle: u64) {
-        self.summary.checkers_lost += 1;
-        self.events
-            .push(ObserverEvent::CheckerKilled(checker, cycle));
-    }
-    fn on_checker_released(&mut self, main: usize, cycle: u64) {
-        self.summary.checker_releases += 1;
-        self.events
-            .push(ObserverEvent::CheckerReleased(main, cycle));
-    }
-    fn on_checker_acquired(&mut self, main: usize, cycle: u64) {
-        self.summary.checker_acquires += 1;
-        self.events
-            .push(ObserverEvent::CheckerAcquired(main, cycle));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
@@ -1059,8 +756,8 @@ pub struct Scenario {
     /// Chrome-trace export: `(path, ring capacity)`; `None` capacity =
     /// unbounded.
     trace: Option<(std::path::PathBuf, Option<usize>)>,
-    /// Record every observer event into an owned
-    /// [`EventBuffer`](crate::sink::EventBuffer) for post-run replay.
+    /// Record every event into a
+    /// [`RecordingObserver`](crate::RecordingObserver) the run keeps.
     record_events: bool,
     /// Per-main-slot timing-model overrides (default: in-order scalar);
     /// `None` slot = every main.
@@ -1259,23 +956,17 @@ impl Scenario {
     ///
     /// Observers must be `Send` — the bound that keeps the built
     /// [`VerifiedRun`] `Send`, so runs can execute on worker threads.
-    /// For the old `Rc<RefCell<_>>` shared-handle pattern (inspecting
-    /// the observer after the run), use [`Scenario::record_events`] and
-    /// [`VerifiedRun::replay_events`](crate::VerifiedRun::replay_events)
-    /// instead.
+    /// The run owns them; to inspect events after the run, use
+    /// [`Scenario::record_events`].
     pub fn observer(mut self, observer: impl Observer + Send + 'static) -> Self {
         self.observers.push(Box::new(observer));
         self
     }
 
-    /// Records every observer event into an owned
-    /// [`EventBuffer`](crate::sink::EventBuffer) the run keeps; read it
-    /// back after the run with
-    /// [`VerifiedRun::events`](crate::VerifiedRun::events) or replay it
-    /// into any observer with
-    /// [`VerifiedRun::replay_events`](crate::VerifiedRun::replay_events).
-    /// This is the `Send`-able replacement for attaching an
-    /// `Rc<RefCell<_>>` shared handle.
+    /// Records every event into a
+    /// [`RecordingObserver`](crate::RecordingObserver) the run keeps;
+    /// read it after the run with
+    /// [`VerifiedRun::recording`](crate::VerifiedRun::recording).
     pub fn record_events(mut self) -> Self {
         self.record_events = true;
         self

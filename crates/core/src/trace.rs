@@ -3,21 +3,20 @@
 //! A many-core FlexStep run is a schedule: segments opening and closing
 //! on main cores, checker cores replaying one granted stream at a time,
 //! the §III-C arbiters handing channels over, faults landing and being
-//! caught. [`TraceObserver`] records that schedule through the ordinary
-//! [`Observer`] callbacks and serialises it as Chrome `trace_event`
-//! JSON — load the file in `chrome://tracing` or
-//! [Perfetto](https://ui.perfetto.dev) and every core becomes a lane on
-//! a shared timeline:
+//! caught. [`TraceObserver`] records that schedule from the run's
+//! [`RunEvent`]s and serialises it as Chrome `trace_event` JSON — load
+//! the file in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)
+//! and every core becomes a lane on a shared timeline:
 //!
 //! - **Segment spans** (`ph: "X"`, category `segment`) on each main
-//!   core's lane, from [`Observer::on_segment_open`] to
-//!   [`Observer::on_segment_close`].
+//!   core's lane, from [`RunEvent::SegmentOpen`] to
+//!   [`RunEvent::SegmentClose`].
 //! - **Checker-occupancy spans** (category `check`) on each checker
-//!   core's lane, from [`Observer::on_check_start`] (the SCP apply that
+//!   core's lane, from [`RunEvent::CheckStart`] (the SCP apply that
 //!   enters replay) to the verdict
-//!   ([`Observer::on_check_pass`]/[`Observer::on_check_fail`]), named
-//!   after the main core being verified — arbitration interleavings are
-//!   directly visible as alternating span colours.
+//!   ([`RunEvent::CheckPass`]/[`RunEvent::CheckFail`]), named after the
+//!   main core being verified — arbitration interleavings are directly
+//!   visible as alternating span colours.
 //! - **Recovery spans** (category `recovery`) on a dedicated
 //!   `recovery m{N}` lane per main core, covering the detect →
 //!   verified-again window of a rollback (consecutive retries extend
@@ -86,9 +85,8 @@
 //! how long the run is. The experiment binaries (`fig8 --trace`,
 //! `fig7_manycore --trace`) use [`DEFAULT_RING_CAPACITY`].
 
-use crate::detect::{DetectionEvent, SegmentResult};
 use crate::json::{number, JsonObject};
-use crate::scenario::{Injection, Observer};
+use crate::sink::{Observer, RunEvent};
 use flexstep_sim::Clock;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
@@ -247,22 +245,63 @@ impl TraceObserver {
         self.push(o.finish());
     }
 
+    /// An instant whose only argument is its cycle.
+    fn mark(&mut self, tid: usize, name: &str, cat: &str, cycle: u64) {
+        let mut a = JsonObject::new();
+        a.field_u64("cycle", cycle);
+        self.instant(tid, name, cat, cycle, a.finish());
+    }
+
+    /// Renders a segment span; `truncated` marks one that serialisation
+    /// closed at the last observed cycle.
+    fn segment_span(&mut self, main: usize, seq: u64, start: u64, end: u64, truncated: bool) {
+        let mut a = JsonObject::new();
+        a.field_u64("seq", seq)
+            .field_u64("open_cycle", start)
+            .field_u64("close_cycle", end);
+        if truncated {
+            a.field_bool("truncated", true);
+        }
+        let name = format!("seg {seq}");
+        self.span(main, &name, "segment", start, end, a.finish());
+    }
+
+    /// Renders the occupancy span of an open check `(main, seq, start)`;
+    /// the `"truncated"` verdict marks one that serialisation closed.
+    fn check_span(&mut self, checker: usize, open: (usize, u64, u64), end: u64, verdict: &str) {
+        let (main, seq, start) = open;
+        let mut a = JsonObject::new();
+        a.field_u64("main", main as u64)
+            .field_u64("seq", seq)
+            .field_str("verdict", verdict)
+            .field_u64("start_cycle", start)
+            .field_u64("end_cycle", end);
+        if verdict == "truncated" {
+            a.field_bool("truncated", true);
+        }
+        let name = format!("check m{main} seg {seq}");
+        self.span(checker, &name, "check", start, end, a.finish());
+    }
+
+    /// Renders a recovery span on `main`'s recovery lane; `latency` is
+    /// `None` for one that serialisation closed.
+    fn recovery_span(&mut self, main: usize, seq: u64, start: u64, end: u64, latency: Option<u64>) {
+        let mut a = JsonObject::new();
+        a.field_u64("seq", seq)
+            .field_u64("detect_cycle", start)
+            .field_u64("end_cycle", end);
+        match latency {
+            Some(l) => a.field_u64("latency_cycles", l),
+            None => a.field_bool("truncated", true),
+        };
+        let name = format!("recover seg {seq}");
+        let tid = RECOVERY_LANE_OFFSET + main;
+        self.span(tid, &name, "recovery", start, end, a.finish());
+    }
+
     fn close_check(&mut self, checker: usize, end: u64, verdict: &str) {
-        if let Some((main, seq, start)) = self.open_checks.remove(&checker) {
-            let mut a = JsonObject::new();
-            a.field_u64("main", main as u64)
-                .field_u64("seq", seq)
-                .field_str("verdict", verdict)
-                .field_u64("start_cycle", start)
-                .field_u64("end_cycle", end);
-            self.span(
-                checker,
-                &format!("check m{main} seg {seq}"),
-                "check",
-                start,
-                end,
-                a.finish(),
-            );
+        if let Some(open) = self.open_checks.remove(&checker) {
+            self.check_span(checker, open, end, verdict);
         }
     }
 
@@ -313,52 +352,15 @@ impl TraceObserver {
             clock: self.clock,
             ..TraceObserver::new()
         };
+        let end = self.last_cycle;
         for (&main, &(seq, start)) in &self.open_segments {
-            let mut a = JsonObject::new();
-            a.field_u64("seq", seq)
-                .field_u64("open_cycle", start)
-                .field_u64("close_cycle", self.last_cycle)
-                .field_bool("truncated", true);
-            tail.span(
-                main,
-                &format!("seg {seq}"),
-                "segment",
-                start,
-                self.last_cycle,
-                a.finish(),
-            );
+            tail.segment_span(main, seq, start, end, true);
         }
-        for (&checker, &(main, seq, start)) in &self.open_checks {
-            let mut a = JsonObject::new();
-            a.field_u64("main", main as u64)
-                .field_u64("seq", seq)
-                .field_str("verdict", "truncated")
-                .field_u64("start_cycle", start)
-                .field_u64("end_cycle", self.last_cycle)
-                .field_bool("truncated", true);
-            tail.span(
-                checker,
-                &format!("check m{main} seg {seq}"),
-                "check",
-                start,
-                self.last_cycle,
-                a.finish(),
-            );
+        for (&checker, &open) in &self.open_checks {
+            tail.check_span(checker, open, end, "truncated");
         }
         for (&main, &(seq, start)) in &self.open_recoveries {
-            let mut a = JsonObject::new();
-            a.field_u64("seq", seq)
-                .field_u64("detect_cycle", start)
-                .field_u64("end_cycle", self.last_cycle)
-                .field_bool("truncated", true);
-            tail.span(
-                RECOVERY_LANE_OFFSET + main,
-                &format!("recover seg {seq}"),
-                "recovery",
-                start,
-                self.last_cycle,
-                a.finish(),
-            );
+            tail.recovery_span(main, seq, start, end, None);
         }
         // Stream everything into one buffer — no cloned intermediate
         // of the (potentially DEFAULT_RING_CAPACITY-sized) event list.
@@ -405,195 +407,165 @@ impl TraceObserver {
 }
 
 impl Observer for TraceObserver {
-    fn on_segment_open(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        self.open_segments.insert(main, (seq, cycle));
-    }
-
-    fn on_segment_close(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let start = match self.open_segments.remove(&main) {
-            Some((open_seq, start)) if open_seq == seq => start,
-            // Close without a matching open (observer attached
-            // mid-run): degrade to a zero-length span at the close.
-            _ => cycle,
+    fn event(&mut self, ev: &RunEvent) {
+        self.last_cycle = self.last_cycle.max(ev.cycle());
+        // Each arm renders its event and names the lanes it touches: a
+        // main's, a checker's, or both (a grant connects the two).
+        let (main, checker) = match ev {
+            RunEvent::SegmentOpen { main, seq, cycle } => {
+                self.open_segments.insert(*main, (*seq, *cycle));
+                (Some(*main), None)
+            }
+            RunEvent::SegmentClose { main, seq, cycle } => {
+                let start = match self.open_segments.remove(main) {
+                    Some((open_seq, start)) if open_seq == *seq => start,
+                    // Close without a matching open (observer attached
+                    // mid-run): degrade to a zero-length span at the close.
+                    _ => *cycle,
+                };
+                self.segment_span(*main, *seq, start, *cycle, false);
+                (Some(*main), None)
+            }
+            RunEvent::CheckStart {
+                checker,
+                main,
+                seq,
+                cycle,
+            } => {
+                // A dangling open check (should not happen: replay always
+                // ends in a verdict) is closed defensively to keep lanes
+                // overlap-free.
+                self.close_check(*checker, *cycle, "superseded");
+                self.open_checks.insert(*checker, (*main, *seq, *cycle));
+                (None, Some(*checker))
+            }
+            RunEvent::CheckPass { checker, result } => {
+                self.close_check(*checker, result.at, "pass");
+                (None, Some(*checker))
+            }
+            RunEvent::CheckFail { checker, result } => {
+                self.close_check(*checker, result.at, "fail");
+                (None, Some(*checker))
+            }
+            RunEvent::Detection(d) => {
+                let mut a = JsonObject::new();
+                a.field_u64("main", d.main_core as u64)
+                    .field_u64("seq", d.segment_seq)
+                    .field_str("kind", &d.kind.to_string())
+                    .field_u64("cycle", d.detected_at);
+                self.instant(
+                    d.checker_core,
+                    &format!("detect m{} seg {}", d.main_core, d.segment_seq),
+                    "detect",
+                    d.detected_at,
+                    a.finish(),
+                );
+                (None, Some(d.checker_core))
+            }
+            RunEvent::FaultInjected(i) => {
+                let mut a = JsonObject::new();
+                a.field_str("target", &i.target.to_string())
+                    .field_array("bits", i.bits.iter().map(u32::to_string))
+                    .field_u64("cycle", i.at_cycle);
+                self.instant(
+                    i.main_core,
+                    &format!("fault {}", i.target),
+                    "fault",
+                    i.at_cycle,
+                    a.finish(),
+                );
+                (Some(i.main_core), None)
+            }
+            RunEvent::ShotExpired { main, cycle } => {
+                self.mark(*main, "shot expired", "fault", *cycle);
+                (Some(*main), None)
+            }
+            RunEvent::CheckerGranted {
+                checker,
+                main,
+                cycle,
+            } => {
+                let mut a = JsonObject::new();
+                a.field_u64("main", *main as u64).field_u64("cycle", *cycle);
+                self.instant(
+                    *checker,
+                    &format!("grant m{main}"),
+                    "arbiter",
+                    *cycle,
+                    a.finish(),
+                );
+                (Some(*main), Some(*checker))
+            }
+            RunEvent::CheckerParked { checker, cycle } => {
+                self.mark(*checker, "park", "arbiter", *cycle);
+                (None, Some(*checker))
+            }
+            RunEvent::MainFinished { main, cycle } => {
+                self.mark(*main, "finished", "run", *cycle);
+                (Some(*main), None)
+            }
+            RunEvent::RecoveryStart { main, seq, cycle } => {
+                self.recovery_lanes.insert(*main);
+                // Consecutive retries extend the original span: the
+                // recovery window is detect -> verified-again, not
+                // per-rollback.
+                self.open_recoveries.entry(*main).or_insert((*seq, *cycle));
+                (Some(*main), None)
+            }
+            RunEvent::RecoveryComplete {
+                main,
+                cycle,
+                latency,
+            } => {
+                let (seq, start) = self
+                    .open_recoveries
+                    .remove(main)
+                    .unwrap_or((0, cycle.saturating_sub(*latency)));
+                self.recovery_lanes.insert(*main);
+                self.recovery_span(*main, seq, start, *cycle, Some(*latency));
+                (Some(*main), None)
+            }
+            RunEvent::CheckerKilled { checker, cycle } => {
+                self.mark(*checker, "killed", "fault", *cycle);
+                (None, Some(*checker))
+            }
+            RunEvent::CheckerReleased { main, cycle } => {
+                self.mark(*main, "release checker", "pairing", *cycle);
+                (Some(*main), None)
+            }
+            RunEvent::CheckerAcquired { main, cycle } => {
+                self.mark(*main, "acquire checker", "pairing", *cycle);
+                (Some(*main), None)
+            }
         };
-        let mut a = JsonObject::new();
-        a.field_u64("seq", seq)
-            .field_u64("open_cycle", start)
-            .field_u64("close_cycle", cycle);
-        self.span(
-            main,
-            &format!("seg {seq}"),
-            "segment",
-            start,
-            cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_check_start(&mut self, checker: usize, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        // A dangling open check (should not happen: replay always ends
-        // in a verdict) is closed defensively to keep lanes overlap-free.
-        self.close_check(checker, cycle, "superseded");
-        self.open_checks.insert(checker, (main, seq, cycle));
-    }
-
-    fn on_check_pass(&mut self, checker: usize, result: &SegmentResult) {
-        self.last_cycle = self.last_cycle.max(result.at);
-        self.checkers.insert(checker);
-        self.close_check(checker, result.at, "pass");
-    }
-
-    fn on_check_fail(&mut self, checker: usize, result: &SegmentResult) {
-        self.last_cycle = self.last_cycle.max(result.at);
-        self.checkers.insert(checker);
-        self.close_check(checker, result.at, "fail");
-    }
-
-    fn on_detection(&mut self, event: &DetectionEvent) {
-        self.last_cycle = self.last_cycle.max(event.detected_at);
-        self.checkers.insert(event.checker_core);
-        let mut a = JsonObject::new();
-        a.field_u64("main", event.main_core as u64)
-            .field_u64("seq", event.segment_seq)
-            .field_str("kind", &event.kind.to_string())
-            .field_u64("cycle", event.detected_at);
-        self.instant(
-            event.checker_core,
-            &format!("detect m{} seg {}", event.main_core, event.segment_seq),
-            "detect",
-            event.detected_at,
-            a.finish(),
-        );
-    }
-
-    fn on_fault_injected(&mut self, injection: &Injection) {
-        self.last_cycle = self.last_cycle.max(injection.at_cycle);
-        self.mains.insert(injection.main_core);
-        let mut a = JsonObject::new();
-        a.field_str("target", &injection.target.to_string())
-            .field_array("bits", injection.bits.iter().map(u32::to_string))
-            .field_u64("cycle", injection.at_cycle);
-        self.instant(
-            injection.main_core,
-            &format!("fault {}", injection.target),
-            "fault",
-            injection.at_cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_shot_expired(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "shot expired", "fault", cycle, a.finish());
-    }
-
-    fn on_checker_granted(&mut self, checker: usize, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("main", main as u64).field_u64("cycle", cycle);
-        self.instant(
-            checker,
-            &format!("grant m{main}"),
-            "arbiter",
-            cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_checker_parked(&mut self, checker: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(checker, "park", "arbiter", cycle, a.finish());
-    }
-
-    fn on_main_finished(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "finished", "run", cycle, a.finish());
-    }
-
-    fn on_recovery_start(&mut self, main: usize, seq: u64, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        self.recovery_lanes.insert(main);
-        // Consecutive retries extend the original span: the recovery
-        // window is detect -> verified-again, not per-rollback.
-        self.open_recoveries.entry(main).or_insert((seq, cycle));
-    }
-
-    fn on_recovery_complete(&mut self, main: usize, cycle: u64, latency: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let (seq, start) = self
-            .open_recoveries
-            .remove(&main)
-            .unwrap_or((0, cycle.saturating_sub(latency)));
-        let mut a = JsonObject::new();
-        a.field_u64("seq", seq)
-            .field_u64("detect_cycle", start)
-            .field_u64("end_cycle", cycle)
-            .field_u64("latency_cycles", latency);
-        self.recovery_lanes.insert(main);
-        self.span(
-            RECOVERY_LANE_OFFSET + main,
-            &format!("recover seg {seq}"),
-            "recovery",
-            start,
-            cycle,
-            a.finish(),
-        );
-    }
-
-    fn on_checker_killed(&mut self, checker: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.checkers.insert(checker);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(checker, "killed", "fault", cycle, a.finish());
-    }
-
-    fn on_checker_released(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "release checker", "pairing", cycle, a.finish());
-    }
-
-    fn on_checker_acquired(&mut self, main: usize, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
-        self.mains.insert(main);
-        let mut a = JsonObject::new();
-        a.field_u64("cycle", cycle);
-        self.instant(main, "acquire checker", "pairing", cycle, a.finish());
+        self.mains.extend(main);
+        self.checkers.extend(checker);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::MismatchKind;
+    use crate::detect::{MismatchKind, SegmentResult};
+
+    fn feed(t: &mut TraceObserver, events: &[RunEvent]) {
+        for e in events {
+            t.event(e);
+        }
+    }
+
+    fn open(main: usize, seq: u64, cycle: u64) -> RunEvent {
+        RunEvent::SegmentOpen { main, seq, cycle }
+    }
+
+    fn close(main: usize, seq: u64, cycle: u64) -> RunEvent {
+        RunEvent::SegmentClose { main, seq, cycle }
+    }
 
     #[test]
     fn spans_pair_opens_with_closes() {
         let mut t = TraceObserver::new();
-        t.on_segment_open(0, 1, 100);
-        t.on_segment_close(0, 1, 1_700);
+        feed(&mut t, &[open(0, 1, 100), close(0, 1, 1_700)]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.spans_recorded(), 1);
         let json = t.to_chrome_json();
@@ -607,12 +579,32 @@ mod tests {
     #[test]
     fn recovery_spans_pair_and_checker_kills_are_instants() {
         let mut t = TraceObserver::new();
-        t.on_recovery_start(0, 7, 1_000);
-        // A consecutive retry extends the original window rather than
-        // opening a second span.
-        t.on_recovery_start(0, 9, 1_500);
-        t.on_recovery_complete(0, 3_000, 2_000);
-        t.on_checker_killed(1, 4_000);
+        feed(
+            &mut t,
+            &[
+                RunEvent::RecoveryStart {
+                    main: 0,
+                    seq: 7,
+                    cycle: 1_000,
+                },
+                // A consecutive retry extends the original window rather
+                // than opening a second span.
+                RunEvent::RecoveryStart {
+                    main: 0,
+                    seq: 9,
+                    cycle: 1_500,
+                },
+                RunEvent::RecoveryComplete {
+                    main: 0,
+                    cycle: 3_000,
+                    latency: 2_000,
+                },
+                RunEvent::CheckerKilled {
+                    checker: 1,
+                    cycle: 4_000,
+                },
+            ],
+        );
         assert_eq!(t.spans_recorded(), 1);
         assert_eq!(t.instants_recorded(), 1);
         let json = t.to_chrome_json();
@@ -625,8 +617,20 @@ mod tests {
     #[test]
     fn truncated_recovery_spans_close_at_last_cycle() {
         let mut t = TraceObserver::new();
-        t.on_recovery_start(2, 4, 500);
-        t.on_checker_killed(3, 900);
+        feed(
+            &mut t,
+            &[
+                RunEvent::RecoveryStart {
+                    main: 2,
+                    seq: 4,
+                    cycle: 500,
+                },
+                RunEvent::CheckerKilled {
+                    checker: 3,
+                    cycle: 900,
+                },
+            ],
+        );
         let json = t.to_chrome_json();
         assert!(json.contains("\"recover seg 4\""));
         assert!(json.contains("\"truncated\": true"));
@@ -635,15 +639,25 @@ mod tests {
     #[test]
     fn check_spans_attribute_the_main_and_verdict() {
         let mut t = TraceObserver::new();
-        t.on_check_start(3, 0, 7, 200);
-        t.on_check_fail(
-            3,
-            &SegmentResult {
-                seq: 7,
-                tag: 0,
-                mismatch: Some(MismatchKind::LogUnderrun),
-                at: 360,
-            },
+        feed(
+            &mut t,
+            &[
+                RunEvent::CheckStart {
+                    checker: 3,
+                    main: 0,
+                    seq: 7,
+                    cycle: 200,
+                },
+                RunEvent::CheckFail {
+                    checker: 3,
+                    result: SegmentResult {
+                        seq: 7,
+                        tag: 0,
+                        mismatch: Some(MismatchKind::LogUnderrun),
+                        at: 360,
+                    },
+                },
+            ],
         );
         let json = t.to_chrome_json();
         assert!(json.contains("\"name\": \"check m0 seg 7\""));
@@ -655,8 +669,10 @@ mod tests {
     fn bounded_ring_drops_oldest_and_counts() {
         let mut t = TraceObserver::bounded(2);
         for seq in 0..5u64 {
-            t.on_segment_open(0, seq, seq * 10);
-            t.on_segment_close(0, seq, seq * 10 + 5);
+            feed(
+                &mut t,
+                &[open(0, seq, seq * 10), close(0, seq, seq * 10 + 5)],
+            );
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -670,9 +686,22 @@ mod tests {
     #[test]
     fn truncated_open_spans_are_closed_at_last_cycle() {
         let mut t = TraceObserver::new();
-        t.on_segment_open(0, 3, 1_000);
-        t.on_check_start(1, 0, 3, 1_200);
-        t.on_main_finished(0, 2_000);
+        feed(
+            &mut t,
+            &[
+                open(0, 3, 1_000),
+                RunEvent::CheckStart {
+                    checker: 1,
+                    main: 0,
+                    seq: 3,
+                    cycle: 1_200,
+                },
+                RunEvent::MainFinished {
+                    main: 0,
+                    cycle: 2_000,
+                },
+            ],
+        );
         let json = t.to_chrome_json();
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
         assert_eq!(json.matches("\"truncated\": true").count(), 2);

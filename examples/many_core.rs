@@ -12,7 +12,7 @@
 //! cargo run --release --example many_core -- [cores]
 //! ```
 
-use flexstep::core::{FabricConfig, FaultPlan, RecordingObserver, Scenario, Topology};
+use flexstep::core::{FabricConfig, FaultPlan, Scenario, Topology};
 use flexstep::isa::Program;
 // The same per-slot workload the `fig8` sweep simulates.
 use flexstep_bench::manycore::many_core_job;
@@ -100,9 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut recorder = RecordingObserver::new();
-    run.replay_events(&mut recorder);
-    let summary = recorder.summary();
+    let summary = run.recording().expect("recording is on").summary();
     println!();
     println!("observer summary: {}", summary.to_json());
 

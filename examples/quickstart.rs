@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use flexstep::core::{FabricConfig, FaultPlan, RecordingObserver, Scenario, Topology};
+use flexstep::core::{FabricConfig, FaultPlan, Scenario, Topology};
 use flexstep::isa::{asm::Assembler, XReg};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Faulty run: the fault plan arms at cycle 5 000 and flips one
     //    bit in the in-flight forwarded data as soon as the stream
     //    carries a packet. The checker must detect the divergence; the
-    //    recorded event buffer lets us replay the protocol afterwards.
+    //    recorded events let us read the protocol back afterwards.
     let mut run = Scenario::new(&program)
         .cores(2)
         .fault_plan(FaultPlan::random_with_seed(5_000, 1))
@@ -75,8 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => println!("  fault was architecturally masked (dead value)"),
     }
-    let mut recorder = RecordingObserver::new();
-    run.replay_events(&mut recorder);
-    println!("  observer summary : {}", recorder.summary().to_json());
+    let summary = run.recording().expect("recording is on").summary();
+    println!("  observer summary : {}", summary.to_json());
     Ok(())
 }
