@@ -4,9 +4,10 @@
 //! protocol on the shared-checker topology.
 //!
 //! Each [`ReliabilityMode`] row runs the same workloads twice: once
-//! fault-free with [`Scenario::track_reliability`] on (the per-mode
-//! accounting — coverage cycles, checkpoint stalls, slowdown against
-//! the `Unchecked` baseline), then under a seeded fault campaign (the
+//! fault-free (the per-mode accounting of
+//! [`RunReport::mode_stats`](flexstep_core::RunReport::mode_stats) —
+//! coverage cycles, checkpoint stalls, slowdown against the
+//! `Unchecked` baseline), then under a seeded fault campaign (the
 //! detection-latency and coverage columns). The table pins the central
 //! FlexStep trade: stricter modes detect faster but stall the main
 //! core on more checkpoints.
@@ -241,8 +242,7 @@ fn mode_scenario(cfg: &ModeSweepConfig, programs: &[Program], mode: ReliabilityM
         .cores(cfg.cores)
         .topology(Topology::PairedLockstep)
         .fabric(FabricConfig::paper())
-        .main_reliability_mode(mode)
-        .track_reliability();
+        .main_reliability_mode(mode);
     for p in &programs[1..] {
         scenario = scenario.program(p);
     }

@@ -88,11 +88,6 @@ pub enum RunWarning {
 }
 
 /// Per-main-slot reliability-policy accounting.
-///
-/// Only populated — and only serialized by [`RunReport::to_json`] —
-/// when the scenario actually uses the policy layer (a non-default
-/// [`ReliabilityMode`] or a pairing schedule), so default
-/// all-`SegmentCheck` reports stay byte-identical to pre-policy runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeStats {
     /// The main core index.
@@ -185,9 +180,7 @@ pub struct RunReport {
     pub repair_latency_cycles: Vec<u64>,
     /// Non-fatal degradation conditions raised during the run.
     pub warnings: Vec<RunWarning>,
-    /// Per-slot reliability-policy accounting; empty (and absent from
-    /// the JSON) unless the scenario uses a non-default mode or a
-    /// pairing schedule.
+    /// Per-slot reliability-policy accounting, in channel order.
     pub mode_stats: Vec<ModeStats>,
 }
 
@@ -330,6 +323,19 @@ impl RunReport {
                 .field_u64("at_cycle", i.at_cycle);
             o.finish()
         }));
+        let modes = array(self.mode_stats.iter().map(|m| {
+            let mut o = JsonObject::new();
+            o.field_u64("core", m.core as u64)
+                .field_str("mode", m.mode.label())
+                .field_u64("checked_cycles", m.checked_cycles)
+                .field_u64("unchecked_cycles", m.unchecked_cycles)
+                .field_u64("checkpoint_stall_cycles", m.checkpoint_stall_cycles)
+                .field_u64("acquires", m.acquires)
+                .field_u64("releases", m.releases)
+                .field_u64("detections", m.detections)
+                .field_u64("detection_latency_total", m.detection_latency_total);
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.field_bool("completed", self.completed)
             .field_u64("main_finish_cycle", self.main_finish_cycle)
@@ -350,26 +356,8 @@ impl RunReport {
             .field_raw("per_main", &mains)
             .field_raw("arbiters", &arbiters)
             .field_raw("detections", &detections)
-            .field_raw("injections", &injections);
-        // Emitted only when the policy layer is in play: the field's
-        // absence keeps default reports byte-identical to pre-policy
-        // goldens.
-        if !self.mode_stats.is_empty() {
-            let modes = array(self.mode_stats.iter().map(|m| {
-                let mut o = JsonObject::new();
-                o.field_u64("core", m.core as u64)
-                    .field_str("mode", m.mode.label())
-                    .field_u64("checked_cycles", m.checked_cycles)
-                    .field_u64("unchecked_cycles", m.unchecked_cycles)
-                    .field_u64("checkpoint_stall_cycles", m.checkpoint_stall_cycles)
-                    .field_u64("acquires", m.acquires)
-                    .field_u64("releases", m.releases)
-                    .field_u64("detections", m.detections)
-                    .field_u64("detection_latency_total", m.detection_latency_total);
-                o.finish()
-            }));
-            o.field_raw("mode_stats", &modes);
-        }
+            .field_raw("injections", &injections)
+            .field_raw("mode_stats", &modes);
         o.finish()
     }
 }
@@ -444,13 +432,7 @@ pub struct VerifiedRun {
     modes: Vec<ReliabilityMode>,
     /// Dynamic pairing runtime (`None` without a schedule).
     pairing: Option<PairingRuntime>,
-    /// Whether the policy layer is in play (any non-default mode or a
-    /// pairing schedule). Gates the report's `mode_stats` section and
-    /// the coverage accounting, so default scenarios stay byte-identical
-    /// to pre-policy runs.
-    mode_tracking: bool,
-    /// Per-slot checked/unchecked cycle accumulators (only meaningful
-    /// under `mode_tracking`).
+    /// Per-slot checked/unchecked cycle accumulators.
     coverage: Vec<Coverage>,
     /// Replays one instruction per dispatch: the reference replay
     /// blocks are tested against.
@@ -631,7 +613,6 @@ impl VerifiedRun {
         models: Vec<flexstep_sim::CoreModelKind>,
         modes: Vec<ReliabilityMode>,
         pairing: Option<PairingSchedule>,
-        track_reliability: bool,
     ) -> Result<Self, ScenarioError> {
         let ResolvedTopology {
             mains,
@@ -733,9 +714,6 @@ impl VerifiedRun {
             }
         };
         let num_checkers = checkers.len();
-        let mode_tracking = track_reliability
-            || pairing.is_some()
-            || modes.iter().any(|m| *m != ReliabilityMode::SegmentCheck);
         let coverage = modes
             .iter()
             .map(|m| Coverage {
@@ -777,7 +755,6 @@ impl VerifiedRun {
             warnings: Vec::new(),
             modes,
             pairing,
-            mode_tracking,
             coverage,
             #[cfg(test)]
             single_step_replay: false,
@@ -1122,9 +1099,6 @@ impl VerifiedRun {
     /// main runs unchecked *by policy* (mode or released window): such
     /// shots must never vanish silently.
     fn note_unchecked_expiry(&mut self, channel: usize, now: u64) {
-        if !self.mode_tracking {
-            return;
-        }
         let policy_unchecked = !self.modes[channel].is_checked()
             || self.pairing.as_ref().is_some_and(|p| p.released[channel]);
         if policy_unchecked {
@@ -1150,16 +1124,14 @@ impl VerifiedRun {
             // Finishing disabled checking; the re-execution needs it back.
             self.fs.fabric.set_check(main, true).expect("main core");
         }
-        if self.mode_tracking {
-            // Resume coverage accounting where the re-execution resumes;
-            // the finish → rollback gap counts in neither bucket.
-            let now = self.fs.soc.now();
-            let live = self.fs.fabric.unit(main).checking_enabled;
-            let c = &mut self.coverage[slot];
-            c.frozen = false;
-            c.since = now;
-            c.live = live;
-        }
+        // Resume coverage accounting where the re-execution resumes; the
+        // finish → rollback gap counts in neither bucket.
+        let now = self.fs.soc.now();
+        let live = self.fs.fabric.unit(main).checking_enabled;
+        let c = &mut self.coverage[slot];
+        c.frozen = false;
+        c.since = now;
+        c.live = live;
     }
 
     /// Rolls `main` back to `anchor`: restores the register file from the
@@ -1257,9 +1229,7 @@ impl VerifiedRun {
             main,
             from_cycle: now,
         });
-        if self.mode_tracking {
-            self.coverage[slot].transition(now, false);
-        }
+        self.coverage[slot].transition(now, false);
         if let Some(p) = &mut self.pairing {
             // No channel survives, so future pairing transitions on this
             // slot are void; the degradation warning above supersedes
@@ -1662,13 +1632,11 @@ impl VerifiedRun {
                     self.done[slot] = true;
                     self.done_count += 1;
                     self.finish_cycle[slot] = now;
-                    if self.mode_tracking {
-                        // Freeze coverage at the finish: drain cycles
-                        // belong to neither bucket.
-                        let live = self.coverage[slot].live;
-                        self.coverage[slot].transition(now, live);
-                        self.coverage[slot].frozen = true;
-                    }
+                    // Freeze coverage at the finish: drain cycles belong to
+                    // neither bucket.
+                    let live = self.coverage[slot].live;
+                    self.coverage[slot].transition(now, live);
+                    self.coverage[slot].frozen = true;
                     self.fs.soc.core_mut(core).park();
                     if let Some(arb) = self.arbiter_of[slot] {
                         // The job is done: stop producing and let the
@@ -1855,14 +1823,12 @@ impl VerifiedRun {
             warnings: self.warnings.clone(),
             mode_stats: Vec::new(),
         };
-        if self.mode_tracking {
-            report.mode_stats = self.collect_mode_stats(&report);
-        }
+        report.mode_stats = self.collect_mode_stats(&report);
         report
     }
 
-    /// Builds the per-slot reliability accounting (tracked runs only):
-    /// coverage intervals settled at the current cycle, checkpoint
+    /// Builds the per-slot reliability accounting: coverage intervals
+    /// settled at the current cycle, checkpoint
     /// stalls from the fabric, and matched-detection latencies
     /// attributed per slot.
     fn collect_mode_stats(&self, report: &RunReport) -> Vec<ModeStats> {

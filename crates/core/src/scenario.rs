@@ -767,10 +767,6 @@ pub struct Scenario {
     reliability_modes: Vec<(Option<usize>, ReliabilityMode)>,
     /// Criticality-driven checker acquire/release timeline.
     pairing: Option<PairingSchedule>,
-    /// Force per-mode accounting on even for all-`SegmentCheck` runs
-    /// (which otherwise stay untracked so their reports match pre-mode
-    /// bytes).
-    track_reliability: bool,
 }
 
 impl fmt::Debug for Scenario {
@@ -789,7 +785,6 @@ impl fmt::Debug for Scenario {
             .field("core_models", &self.core_models)
             .field("reliability_modes", &self.reliability_modes)
             .field("pairing", &self.pairing)
-            .field("track_reliability", &self.track_reliability)
             .finish()
     }
 }
@@ -811,7 +806,6 @@ impl Scenario {
             core_models: Vec::new(),
             reliability_modes: Vec::new(),
             pairing: None,
-            track_reliability: false,
         }
     }
 
@@ -893,18 +887,6 @@ impl Scenario {
     /// dedicated checkers simply drain and idle.
     pub fn pairing_schedule(mut self, schedule: PairingSchedule) -> Self {
         self.pairing = Some(schedule);
-        self
-    }
-
-    /// Forces per-mode accounting
-    /// ([`RunReport::mode_stats`](crate::RunReport)) on. Accounting is
-    /// automatic whenever any slot leaves
-    /// [`ReliabilityMode::SegmentCheck`] or a pairing schedule is
-    /// installed; all-`SegmentCheck` runs keep it off so their reports
-    /// stay byte-identical to pre-mode artifacts — this opt-in is for
-    /// sweeps (`fig9_modes`) that want the baseline row accounted too.
-    pub fn track_reliability(mut self) -> Self {
-        self.track_reliability = true;
         self
     }
 
@@ -1221,7 +1203,6 @@ impl Scenario {
             models,
             modes,
             self.pairing,
-            self.track_reliability,
         )
     }
 }

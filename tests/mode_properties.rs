@@ -11,11 +11,13 @@
 //!   raises the typed `ShotInUncheckedWindow` warning — never expires
 //!   silently;
 //! - on identical seeds, mean detection latency is monotone in
-//!   strictness: `FullLockstep` <= `SegmentCheck` <= `CheckpointOnly`.
+//!   strictness: `FullLockstep` <= `SegmentCheck` <= `CheckpointOnly`;
+//! - every report accounts each slot's executed cycles as checked or
+//!   unchecked, and the two add up to the slot's finish cycle.
 
 use flexstep::core::{
-    FabricConfig, FaultPlan, FaultTarget, PairingSchedule, ReliabilityMode, RunWarning, Scenario,
-    Topology, RELIABILITY_MODES,
+    FabricConfig, FaultPlan, FaultTarget, PairingSchedule, RecoveryPolicy, ReliabilityMode,
+    RunReport, RunWarning, Scenario, Topology, RELIABILITY_MODES,
 };
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::XReg;
@@ -56,6 +58,28 @@ fn unchecked_warnings(warnings: &[RunWarning]) -> usize {
         .iter()
         .filter(|w| matches!(w, RunWarning::ShotInUncheckedWindow { .. }))
         .count()
+}
+
+/// Each slot's checked and unchecked cycles add up to its finish cycle
+/// on a completed run. Under rollback the gap between a finish and the
+/// rollback that resumes the main counts in neither bucket, so the sum
+/// may only fall short.
+fn coverage_adds_up(report: &RunReport, rollback: bool) -> Result<(), TestCaseError> {
+    prop_assert_eq!(report.mode_stats.len(), report.per_main.len());
+    for (stat, main) in report.mode_stats.iter().zip(&report.per_main) {
+        let covered = stat.checked_cycles + stat.unchecked_cycles;
+        if rollback {
+            prop_assert!(
+                covered <= main.finish_cycle,
+                "core {}: {covered} covered cycles past finish {}",
+                main.core,
+                main.finish_cycle
+            );
+        } else {
+            prop_assert_eq!(covered, main.finish_cycle, "core {} coverage", main.core);
+        }
+    }
+    Ok(())
 }
 
 fn mode_strategy() -> impl Strategy<Value = ReliabilityMode> {
@@ -128,14 +152,44 @@ proptest! {
             unchecked_warnings(&report.warnings) <= expired,
             "warnings annotate expired shots only"
         );
-        // Mode accounting is live whenever any slot leaves SegmentCheck
-        // or a schedule is installed; its totals cover every main slot.
-        if !report.mode_stats.is_empty() {
-            prop_assert_eq!(report.mode_stats.len(), 2);
-            for (slot, stat) in report.mode_stats.iter().enumerate() {
-                prop_assert_eq!(stat.mode, modes[slot]);
-            }
+        // Every report accounts every main slot, in its own mode.
+        for (slot, stat) in report.mode_stats.iter().enumerate() {
+            prop_assert_eq!(stat.mode, modes[slot]);
         }
+        coverage_adds_up(&report, false)?;
+    }
+
+    /// Coverage adds up under checker loss and rollback too: once the
+    /// only shared checker dies, both slots degrade and run unchecked,
+    /// and a rollback resumes a main's account where it re-executes.
+    #[test]
+    fn coverage_adds_up_under_checker_loss_and_rollback(
+        kill_at in 1_000u64..8_000,
+        shot_at in 1_000u64..8_000,
+        rollback in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        let recovery = if rollback {
+            RecoveryPolicy::Rollback { max_retries: 3 }
+        } else {
+            RecoveryPolicy::Detect
+        };
+        let plan = FaultPlan::none()
+            .with_seed(seed)
+            .then_random_at(shot_at)
+            .then_kill_checker_at(kill_at);
+        let mut run = Scenario::new(&checksum_job(0, 600))
+            .program(&checksum_job(1, 600))
+            .cores(3)
+            .topology(Topology::SharedChecker { checkers: 1 })
+            .fabric(small_segments())
+            .recovery(recovery)
+            .fault_plan(plan)
+            .build()
+            .expect("setup");
+        let report = run.run_to_completion(100_000_000);
+        prop_assert!(report.completed);
+        coverage_adds_up(&report, rollback)?;
     }
 
     /// Every shot aimed at an `Unchecked` slot expires with the typed
