@@ -88,8 +88,10 @@ pub enum Topology {
 // ---------------------------------------------------------------------------
 
 /// What the run loop does when a checker detects an error.
+///
+/// Exhaustive on purpose: a new policy must not compile until every
+/// encoder of it, such as `campaignd`'s `spec.json`, can express it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
 pub enum RecoveryPolicy {
     /// Record the detection and keep running — the fail-stop diagnosis
     /// mode of the original detection-only experiments (the default).

@@ -5,9 +5,9 @@
 //! the paired scenario, the Chrome trace JSON — byte-identical to the
 //! goldens generated at the pre-refactor commit (before the
 //! `InOrderModel` extraction). Regenerate deliberately with
-//! `BLESS_MODEL_GOLDENS=1 cargo test --test model_equivalence` and
-//! justify the diff in review; an unexplained diff is a timing or
-//! accounting regression, not a formatting nit.
+//! `BLESS_GOLDENS=1 cargo test --test model_equivalence` and justify the
+//! diff in review; an unexplained diff is a timing or accounting
+//! regression, not a formatting nit.
 //!
 //! Covered scenarios: paired lockstep, shared-checker pool with faults,
 //! rollback recovery, and the memo on/off pair (which also re-pins the
@@ -19,31 +19,9 @@ use flexstep::core::{
 };
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::XReg;
-use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/goldens")
-        .join(name)
-}
-
-/// Compares `actual` against the checked-in golden, or rewrites the
-/// golden under `BLESS_MODEL_GOLDENS=1`.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_MODEL_GOLDENS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); bless to create", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} diverged from the pre-refactor golden \
-         (BLESS_MODEL_GOLDENS=1 to regenerate deliberately)"
-    );
-}
+mod common;
+use common::assert_golden;
 
 /// A branchy store/load checksum kernel in a private window per slot —
 /// enough control flow and memory traffic to exercise the predictor,
@@ -80,7 +58,7 @@ fn paired_lockstep_report_matches_golden() {
         .fabric(FabricConfig::paper())
         .build()
         .unwrap();
-    assert_golden("paired.report.json", &run_report(run));
+    assert_golden("goldens/paired.report.json", &run_report(run));
 }
 
 #[test]
@@ -95,7 +73,7 @@ fn paired_trace_matches_golden() {
     let report = run.run_to_completion(u64::MAX);
     assert!(report.completed);
     let trace = run.trace().expect("trace configured").to_chrome_json();
-    assert_golden("paired.trace.json", &trace);
+    assert_golden("goldens/paired.trace.json", &trace);
 }
 
 #[test]
@@ -114,7 +92,7 @@ fn shared_checker_faulty_report_matches_golden() {
         scenario = scenario.program(p);
     }
     assert_golden(
-        "shared_faulty.report.json",
+        "goldens/shared_faulty.report.json",
         &run_report(scenario.build().unwrap()),
     );
 }
@@ -128,7 +106,7 @@ fn rollback_recovery_report_matches_golden() {
         .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
         .build()
         .unwrap();
-    assert_golden("recovery.report.json", &run_report(run));
+    assert_golden("goldens/recovery.report.json", &run_report(run));
 }
 
 // ---------------------------------------------------------------------------
@@ -147,7 +125,7 @@ fn explicit_segment_check_report_matches_paired_golden() {
         .main_reliability_mode(ReliabilityMode::SegmentCheck)
         .build()
         .unwrap();
-    assert_golden("paired.report.json", &run_report(run));
+    assert_golden("goldens/paired.report.json", &run_report(run));
 }
 
 #[test]
@@ -163,7 +141,7 @@ fn explicit_segment_check_trace_matches_paired_golden() {
     let report = run.run_to_completion(u64::MAX);
     assert!(report.completed);
     let trace = run.trace().expect("trace configured").to_chrome_json();
-    assert_golden("paired.trace.json", &trace);
+    assert_golden("goldens/paired.trace.json", &trace);
 }
 
 #[test]
@@ -185,7 +163,7 @@ fn per_slot_segment_check_report_matches_shared_faulty_golden() {
         scenario = scenario.reliability_mode(slot, ReliabilityMode::SegmentCheck);
     }
     assert_golden(
-        "shared_faulty.report.json",
+        "goldens/shared_faulty.report.json",
         &run_report(scenario.build().unwrap()),
     );
 }
@@ -200,15 +178,15 @@ fn explicit_segment_check_report_matches_recovery_golden() {
         .main_reliability_mode(ReliabilityMode::SegmentCheck)
         .build()
         .unwrap();
-    assert_golden("recovery.report.json", &run_report(run));
+    assert_golden("goldens/recovery.report.json", &run_report(run));
 }
 
 #[test]
 fn explicit_segment_check_matches_memo_goldens() {
     let program = checksum_job(0, 600);
     for (memo, golden) in [
-        (false, "memo_off.report.json"),
-        (true, "memo_on.report.json"),
+        (false, "goldens/memo_off.report.json"),
+        (true, "goldens/memo_on.report.json"),
     ] {
         let run = Scenario::new(&program)
             .cores(2)
@@ -239,6 +217,6 @@ fn memo_on_and_off_match_goldens_and_each_other() {
     // The warp-free clock invariant: memoized playback must be
     // byte-identical to full replay, not just "also complete".
     assert_eq!(reports[0], reports[1], "memo on/off must not diverge");
-    assert_golden("memo_off.report.json", &reports[0]);
-    assert_golden("memo_on.report.json", &reports[1]);
+    assert_golden("goldens/memo_off.report.json", &reports[0]);
+    assert_golden("goldens/memo_on.report.json", &reports[1]);
 }

@@ -13,8 +13,8 @@
 //! segment boundaries.
 //!
 //! Regenerate deliberately with
-//! `BLESS_MODEL_GOLDENS=1 cargo test --test replay_blocks` and justify
-//! the diff in review.
+//! `BLESS_GOLDENS=1 cargo test --test replay_blocks` and justify the
+//! diff in review.
 
 use flexstep::core::{
     CoreModelKind, FabricConfig, FaultPlan, FaultTarget, PairingSchedule, RecoveryPolicy, Scenario,
@@ -23,29 +23,12 @@ use flexstep::core::{
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::inst::{AmoOp, AmoWidth, Inst, IntImmOp, IntOp};
 use flexstep::isa::XReg;
-use std::path::PathBuf;
+
+mod common;
+use common::assert_golden;
 
 /// Seeds per scenario shape.
 const SEEDS: [u64; 3] = [1, 2, 3];
-
-/// Compares `actual` against the checked-in golden, or rewrites it under
-/// `BLESS_MODEL_GOLDENS=1`.
-fn assert_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/goldens")
-        .join(name);
-    if std::env::var_os("BLESS_MODEL_GOLDENS").is_some() {
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); bless to create", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} diverged from the single-step replay golden \
-         (BLESS_MODEL_GOLDENS=1 to regenerate deliberately)"
-    );
-}
 
 /// A loop with loads, stores, an atomic, a multiply, a conditional call
 /// and two branches per iteration, in a private text/data window per
@@ -136,12 +119,12 @@ fn triple(seed: u64) -> Scenario {
 #[test]
 fn triple_channel_rollback_matches_golden() {
     let json = reports(|seed| triple(seed).recovery(RecoveryPolicy::Rollback { max_retries: 3 }));
-    assert_golden("blocks_triple_rollback.report.json", &json);
+    assert_golden("goldens/blocks_triple_rollback.report.json", &json);
 }
 
 #[test]
 fn triple_channel_detect_matches_golden() {
-    assert_golden("blocks_triple_detect.report.json", &reports(triple));
+    assert_golden("goldens/blocks_triple_detect.report.json", &reports(triple));
 }
 
 #[test]
@@ -153,7 +136,7 @@ fn paired_rollback_matches_golden() {
             .fault_plan(two_random_shots(seed))
             .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
     });
-    assert_golden("blocks_paired_rollback.report.json", &json);
+    assert_golden("goldens/blocks_paired_rollback.report.json", &json);
 }
 
 #[test]
@@ -170,7 +153,7 @@ fn ooo_branch_outcome_shots_match_golden() {
                     .with_seed(seed),
             )
     });
-    assert_golden("blocks_ooo_branch.report.json", &json);
+    assert_golden("goldens/blocks_ooo_branch.report.json", &json);
 }
 
 /// Four mains on a two-checker pool.
@@ -198,7 +181,7 @@ fn shared_pool_pairing_window_and_late_shot_match_golden() {
                     .on_channel(0),
             )
     });
-    assert_golden("blocks_shared_pairing.report.json", &json);
+    assert_golden("goldens/blocks_shared_pairing.report.json", &json);
 }
 
 #[test]
@@ -215,7 +198,7 @@ fn shared_pool_kill_under_rollback_matches_golden() {
             )
             .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
     });
-    assert_golden("blocks_shared_kill_rollback.report.json", &json);
+    assert_golden("goldens/blocks_shared_kill_rollback.report.json", &json);
 }
 
 #[test]
@@ -229,5 +212,5 @@ fn no_spill_fabric_matches_golden() {
             })
             .fault_plan(FaultPlan::random_with_seed(4_000 + 1_000 * seed, seed))
     });
-    assert_golden("blocks_strict.report.json", &json);
+    assert_golden("goldens/blocks_strict.report.json", &json);
 }

@@ -5,7 +5,7 @@
 //!   across runs *and* against the checked-in fixture
 //!   (`tests/fixtures/trace_dual_core.trace.json`). Any intentional
 //!   change to the trace format must update the fixture (regenerate
-//!   with `BLESS_TRACE_FIXTURE=1 cargo test --test trace_export`).
+//!   with `BLESS_GOLDENS=1 cargo test --test trace_export`).
 //! - **Span well-formedness**: across a family of scenarios (clean,
 //!   faulty, shared-checker, truncated), every opened span is closed
 //!   (only `ph: "X"` complete events are emitted, with `dur >= 0`) and
@@ -17,6 +17,9 @@ use flexstep::core::{
 };
 use flexstep::isa::asm::{Assembler, Program};
 use flexstep::isa::XReg;
+
+mod common;
+use common::assert_golden;
 
 /// `trace_to` requires a destination path, but these tests read the
 /// recorder back via [`VerifiedRun::trace`] and never call
@@ -77,27 +80,12 @@ fn dual_core_trace_json() -> String {
     trace_json(&run)
 }
 
-const FIXTURE_PATH: &str = "tests/fixtures/trace_dual_core.trace.json";
-
 #[test]
 fn dual_core_trace_is_byte_stable_and_matches_the_golden_file() {
     let first = dual_core_trace_json();
     let second = dual_core_trace_json();
     assert_eq!(first, second, "trace serialisation must be deterministic");
-
-    if std::env::var_os("BLESS_TRACE_FIXTURE").is_some() {
-        std::fs::write(FIXTURE_PATH, &first).expect("bless fixture");
-        return;
-    }
-    let fixture = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_PATH),
-    )
-    .expect("fixture checked in; regenerate with BLESS_TRACE_FIXTURE=1");
-    assert_eq!(
-        first, fixture,
-        "trace JSON drifted from the golden file; if intentional, \
-         regenerate with BLESS_TRACE_FIXTURE=1 cargo test --test trace_export"
-    );
+    assert_golden("trace_dual_core.trace.json", &first);
 }
 
 // ---------------------------------------------------------------------------
