@@ -1828,9 +1828,8 @@ impl VerifiedRun {
     }
 
     /// Builds the per-slot reliability accounting: coverage intervals
-    /// settled at the current cycle, checkpoint
-    /// stalls from the fabric, and matched-detection latencies
-    /// attributed per slot.
+    /// settled at the current cycle, checkpoint stalls from the fabric,
+    /// and matched-detection latencies attributed per slot.
     fn collect_mode_stats(&self, report: &RunReport) -> Vec<ModeStats> {
         let now = self.fs.soc.now();
         let matched = report.matched_detections();

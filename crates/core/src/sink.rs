@@ -294,7 +294,7 @@ impl ObserverSummary {
 
 /// An [`Observer`] that keeps every event, in order, and folds them
 /// into an [`ObserverSummary`] on request.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct RecordingObserver {
     events: Vec<RunEvent>,
 }
