@@ -4,8 +4,8 @@
 use std::path::PathBuf;
 
 /// Set this variable to rewrite every golden a suite checks instead of
-/// comparing against it: `BLESS_GOLDENS=1 cargo test --test <suite>`.
-const BLESS: &str = "BLESS_GOLDENS";
+/// comparing against it: `BLESS_MODEL_GOLDENS=1 cargo test --test <suite>`.
+const BLESS: &str = "BLESS_MODEL_GOLDENS";
 
 /// Compares `actual` with the checked-in fixture `tests/fixtures/{name}`,
 /// or rewrites the fixture when [`BLESS`] is set.

@@ -5,9 +5,9 @@
 //! the paired scenario, the Chrome trace JSON — byte-identical to the
 //! goldens generated at the pre-refactor commit (before the
 //! `InOrderModel` extraction). Regenerate deliberately with
-//! `BLESS_GOLDENS=1 cargo test --test model_equivalence` and justify the
-//! diff in review; an unexplained diff is a timing or accounting
-//! regression, not a formatting nit.
+//! `BLESS_MODEL_GOLDENS=1 cargo test --test model_equivalence` and
+//! justify the diff in review; an unexplained diff is a timing or
+//! accounting regression, not a formatting nit.
 //!
 //! Covered scenarios: paired lockstep, shared-checker pool with faults,
 //! rollback recovery, and the memo on/off pair (which also re-pins the

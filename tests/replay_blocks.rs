@@ -13,8 +13,8 @@
 //! segment boundaries.
 //!
 //! Regenerate deliberately with
-//! `BLESS_GOLDENS=1 cargo test --test replay_blocks` and justify the
-//! diff in review.
+//! `BLESS_MODEL_GOLDENS=1 cargo test --test replay_blocks` and justify
+//! the diff in review.
 
 use flexstep::core::{
     CoreModelKind, FabricConfig, FaultPlan, FaultTarget, PairingSchedule, RecoveryPolicy, Scenario,

@@ -5,7 +5,7 @@
 //!   across runs *and* against the checked-in fixture
 //!   (`tests/fixtures/trace_dual_core.trace.json`). Any intentional
 //!   change to the trace format must update the fixture (regenerate
-//!   with `BLESS_GOLDENS=1 cargo test --test trace_export`).
+//!   with `BLESS_MODEL_GOLDENS=1 cargo test --test trace_export`).
 //! - **Span well-formedness**: across a family of scenarios (clean,
 //!   faulty, shared-checker, truncated), every opened span is closed
 //!   (only `ph: "X"` complete events are emitted, with `dur >= 0`) and
