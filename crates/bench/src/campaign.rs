@@ -359,26 +359,37 @@ impl CampaignRow {
     }
 }
 
-/// Outcome of one campaign chunk.
-struct ChunkOutcome {
-    completed: bool,
-    engine_steps: u64,
-    landed: usize,
-    expired: usize,
-    /// Channel (main slot) each armed shot targeted.
-    armed_channels: Vec<usize>,
+/// Outcome of one campaign chunk — shard `k` of a `campaignd`
+/// campaign is exactly chunk `k` (see [`run_shard`]), streamed by the
+/// engine into per-shard JSONL artifacts. With `armed =
+/// armed_channels.len()`, `detected <= landed <= armed` and
+/// `landed + expired == armed` hold by construction.
+#[derive(Debug, Clone)]
+pub struct ShardOutcome {
+    /// Whether every main ran to completion.
+    pub completed: bool,
+    /// Engine steps the shard executed.
+    pub engine_steps: u64,
+    /// Shots that landed in a stream.
+    pub landed: usize,
+    /// Armed shots that expired without landing.
+    pub expired: usize,
+    /// Channel (main slot) each armed shot targeted; one entry per
+    /// armed shot (`cfg.shots_per_run`).
+    pub armed_channels: Vec<usize>,
     /// Main slot of each landed injection.
-    landed_mains: Vec<usize>,
-    /// One-to-one (injection, detection) pairs.
-    pairs: Vec<MatchedDetection>,
+    pub landed_mains: Vec<usize>,
+    /// One-to-one (injection, detection) pairs; `pairs.len()` is the
+    /// shard's detected count.
+    pub pairs: Vec<MatchedDetection>,
     /// Raw detection events (a recovery window can span several).
-    detections: usize,
+    pub detections: usize,
     /// Completed rollback recoveries (detect -> verified-again windows).
-    recovered: usize,
+    pub recovered: usize,
     /// Detections left unrecovered (retry budget exhausted / no anchor).
-    unrecovered: usize,
+    pub unrecovered: usize,
     /// Per-recovery detect -> verified-again latency, cycles.
-    recovery_cycles: Vec<u64>,
+    pub recovery_cycles: Vec<u64>,
 }
 
 /// Builds and runs one chunk: `shots_per_run` random shots at random
@@ -395,7 +406,7 @@ fn run_chunk(
     horizon: u64,
     chunk: usize,
     trace: Option<&std::path::Path>,
-) -> Result<ChunkOutcome, ScenarioError> {
+) -> Result<ShardOutcome, ScenarioError> {
     let chunk_seed = derive_stream(cfg.seed, &format!("chunk-{chunk}"));
     let mut rng = StdRng::seed_from_u64(chunk_seed);
     let mains = programs.len();
@@ -435,7 +446,7 @@ fn run_chunk(
         recovery_cycles.extend_from_slice(&m.recovery_latency_cycles);
         unrecovered += m.unrecovered as usize;
     }
-    Ok(ChunkOutcome {
+    Ok(ShardOutcome {
         completed: report.completed,
         engine_steps: report.engine_steps,
         landed: report.injections.len(),
@@ -494,35 +505,6 @@ pub fn probe_horizon(cfg: &CampaignConfig) -> Result<u64, ScenarioError> {
     fault_free_horizon(cfg, &programs, checkers)
 }
 
-/// Outcome of one campaign shard — the public form of a chunk outcome,
-/// streamed by the `campaignd` engine into per-shard JSONL artifacts.
-/// `detected <= landed <= armed` and `landed + expired == armed` hold
-/// by construction.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Whether every main ran to completion.
-    pub completed: bool,
-    /// Engine steps the shard executed.
-    pub engine_steps: u64,
-    /// Shots the shard armed (`cfg.shots_per_run`).
-    pub armed: usize,
-    /// Shots that landed in a stream.
-    pub landed: usize,
-    /// Armed shots that expired without landing.
-    pub expired: usize,
-    /// One-to-one (injection, detection) pairs; `pairs.len()` is the
-    /// shard's detected count.
-    pub pairs: Vec<MatchedDetection>,
-    /// Raw detection events (a recovery window can span several).
-    pub detections: usize,
-    /// Completed rollback recoveries.
-    pub recovered: usize,
-    /// Detections left unrecovered (retry budget exhausted).
-    pub unrecovered: usize,
-    /// Per-recovery detect -> verified-again latency, cycles.
-    pub recovery_cycles: Vec<u64>,
-}
-
 /// Runs one shard of a campaign: shard `k` is exactly campaign chunk
 /// `k` — same `derive_stream(seed, "chunk-k")` RNG stream, same
 /// shuffled-deck channel assignment — so a sharded campaign aggregates
@@ -540,19 +522,7 @@ pub fn run_shard(
 ) -> Result<ShardOutcome, ScenarioError> {
     let (mains, checkers) = checker_split(cfg.cores, cfg.cores_per_checker)?;
     let programs = campaign_programs(cfg, mains);
-    let o = run_chunk(cfg, &programs, checkers, horizon, shard, None)?;
-    Ok(ShardOutcome {
-        completed: o.completed,
-        engine_steps: o.engine_steps,
-        armed: o.armed_channels.len(),
-        landed: o.landed,
-        expired: o.expired,
-        pairs: o.pairs,
-        detections: o.detections,
-        recovered: o.recovered,
-        unrecovered: o.unrecovered,
-        recovery_cycles: o.recovery_cycles,
-    })
+    run_chunk(cfg, &programs, checkers, horizon, shard, None)
 }
 
 /// Runs the campaign at one configuration: `runs` chunks across scoped
@@ -595,7 +565,7 @@ pub fn campaign_row_traced(
     // every chunk derives its own RNG stream), so the aggregate is
     // independent of wave size and interleaving.
     let max_parallel = std::thread::available_parallelism().map_or(8, |n| n.get().max(2));
-    let mut outcomes: Vec<Option<Result<ChunkOutcome, ScenarioError>>> = Vec::new();
+    let mut outcomes: Vec<Option<Result<ShardOutcome, ScenarioError>>> = Vec::new();
     outcomes.resize_with(cfg.runs, || None);
     for (wave, batch) in outcomes.chunks_mut(max_parallel).enumerate() {
         std::thread::scope(|scope| {
@@ -960,7 +930,10 @@ mod tests {
         let shards: Vec<ShardOutcome> = (0..cfg.runs)
             .map(|k| run_shard(&cfg, horizon, k).unwrap())
             .collect();
-        assert_eq!(shards.iter().map(|s| s.armed).sum::<usize>(), row.armed);
+        assert_eq!(
+            shards.iter().map(|s| s.armed_channels.len()).sum::<usize>(),
+            row.armed
+        );
         assert_eq!(shards.iter().map(|s| s.landed).sum::<usize>(), row.landed);
         assert_eq!(shards.iter().map(|s| s.expired).sum::<usize>(), row.expired);
         assert_eq!(
@@ -969,8 +942,9 @@ mod tests {
         );
         for s in &shards {
             assert!(s.completed);
-            assert!(s.pairs.len() <= s.landed && s.landed <= s.armed);
-            assert_eq!(s.landed + s.expired, s.armed);
+            let armed = s.armed_channels.len();
+            assert!(s.pairs.len() <= s.landed && s.landed <= armed);
+            assert_eq!(s.landed + s.expired, armed);
         }
     }
 

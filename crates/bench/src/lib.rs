@@ -47,9 +47,10 @@ pub(crate) fn dual_core_run(program: &Program, fabric: FabricConfig) -> Verified
 
 /// Typed failure surface for the experiment binaries.
 ///
-/// Every `fig*`/`perf_report` binary funnels its fallible paths — bad
-/// scenario configuration, artifact I/O, registry lookups, violated run
-/// invariants — through this enum and exits non-zero with the rendered
+/// The artifact-writing binaries (`fig7_manycore`, `fig8`, `fig9_modes`,
+/// `campaignd`) funnel their fallible paths — bad scenario
+/// configuration, artifact I/O, registry lookups, violated run
+/// invariants — through this enum and exit non-zero with the rendered
 /// cause instead of unwinding through a panic backtrace.
 #[derive(Debug)]
 pub enum BenchError {

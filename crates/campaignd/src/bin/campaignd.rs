@@ -10,21 +10,18 @@
 //!                                          alias of run
 //! campaignd status --dir DIR               progress: total/done/pending
 //! campaignd merge  --dir DIR [--out PATH]  shards -> merged.jsonl
-//! campaignd bench  [--dir DIR] [--out PATH] [--quick]
-//!                                          worker-scaling measurement
 //! ```
 //!
 //! `run` is killable at any instant — including `SIGKILL` — and a
 //! subsequent `run`/`resume` redoes only the shards that were in
 //! flight; the `merge` artifact comes out byte-identical either way.
 
-use flexstep_bench::{arg_value, run_bin, write_artifact, BenchError};
+use flexstep_bench::{arg_value, run_bin, BenchError};
 use flexstep_campaignd::{engine, JobSpec, RecoveryPolicy};
-use flexstep_core::json::{array, JsonObject};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: campaignd <submit|run|resume|status|merge|bench> [--dir DIR] ...";
+const USAGE: &str = "usage: campaignd <submit|run|resume|status|merge> [--dir DIR] ...";
 
 fn main() -> ExitCode {
     run_bin(run)
@@ -37,7 +34,6 @@ fn run() -> Result<(), BenchError> {
         Some("run" | "resume") => drain(&args),
         Some("status") => status(&args),
         Some("merge") => merge(&args),
-        Some("bench") => bench(&args),
         _ => Err(BenchError::Config(USAGE.into())),
     }
 }
@@ -55,10 +51,6 @@ fn num_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>
                 .map_err(|_| BenchError::Config(format!("{key} expects a number, got {v:?}")))
         })
         .transpose()
-}
-
-fn all_workers() -> usize {
-    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
 fn submit(args: &[String]) -> Result<(), BenchError> {
@@ -106,7 +98,9 @@ fn submit(args: &[String]) -> Result<(), BenchError> {
 
 fn drain(args: &[String]) -> Result<(), BenchError> {
     let dir = dir_arg(args)?;
-    let workers = num_arg(args, "--workers")?.unwrap_or_else(all_workers);
+    let workers = num_arg(args, "--workers")?.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    });
     let max_shards = num_arg(args, "--max-shards")?;
     let summary = engine::run(&dir, workers, max_shards)?;
     println!(
@@ -143,86 +137,5 @@ fn merge(args: &[String]) -> Result<(), BenchError> {
         .unwrap_or_else(|| engine::merged_path(&dir));
     let shards = engine::merge(&dir, &out)?;
     println!("merged {} shards -> {}", shards, out.display());
-    Ok(())
-}
-
-/// Worker-scaling measurement: the same quick campaign drained with 1,
-/// 4, and all-core worker pools, each in a fresh directory, reported as
-/// aggregate engine steps per second.
-fn bench(args: &[String]) -> Result<(), BenchError> {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = arg_value(args, "--out").unwrap_or_else(|| "BENCH_pr8.json".into());
-    let base = arg_value(args, "--dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("flexstep_campaignd_bench"));
-    let spec = JobSpec {
-        name: "bench".into(),
-        shards_per_config: if quick { 12 } else { 32 },
-        iters_per_main: if quick { 300 } else { 600 },
-        ..JobSpec::quick()
-    };
-
-    let all = all_workers();
-    let mut ladder = vec![1, 4.min(all), all];
-    ladder.dedup();
-
-    println!(
-        "campaignd worker scaling — {} shards per rung",
-        spec.total_shards()
-    );
-    println!(
-        "{:>8} {:>8} {:>14} {:>9} {:>14}",
-        "workers", "shards", "engine steps", "wall s", "steps/s"
-    );
-    let mut rows = Vec::new();
-    let mut rates = Vec::new();
-    for &workers in &ladder {
-        let dir = base.join(format!("w{workers}"));
-        // Each rung re-runs the campaign from scratch.
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).map_err(|e| BenchError::Io {
-                path: dir.display().to_string(),
-                source: e,
-            })?;
-        }
-        engine::submit(&dir, &spec)?;
-        let summary = engine::run(&dir, workers, None)?;
-        if summary.remaining != 0 {
-            return Err(BenchError::Invariant(format!(
-                "bench rung at {workers} workers left {} shards pending",
-                summary.remaining
-            )));
-        }
-        let rate = summary.engine_steps as f64 / summary.wall_s.max(1e-9);
-        println!(
-            "{:>8} {:>8} {:>14} {:>9.2} {:>14.0}",
-            workers, summary.ran, summary.engine_steps, summary.wall_s, rate
-        );
-        let mut row = JsonObject::new();
-        row.field_u64("workers", workers as u64)
-            .field_u64("shards", summary.ran as u64)
-            .field_u64("engine_steps", summary.engine_steps)
-            .field_f64("wall_s", summary.wall_s)
-            .field_f64("steps_per_sec", rate);
-        rows.push(row.finish());
-        rates.push(rate);
-    }
-    let speedup = match (rates.first(), rates.last()) {
-        (Some(&one), Some(&full)) if one > 0.0 => full / one,
-        _ => 0.0,
-    };
-    println!("speedup {all} workers vs 1: {speedup:.2}x");
-
-    let mut meta = JsonObject::new();
-    meta.field_str("tool", "campaignd")
-        .field_str("mode", "bench")
-        .field_bool("quick", quick)
-        .field_u64("host_cores", all as u64);
-    let mut out = JsonObject::new();
-    out.field_raw("meta", &meta.finish())
-        .field_raw("rows", &array(&rows))
-        .field_f64("speedup_all_vs_1", speedup);
-    write_artifact(&out_path, &out.finish())?;
-    println!("wrote {out_path}");
     Ok(())
 }

@@ -159,7 +159,7 @@ fn shard_line(shard: Shard, outcome: &ShardOutcome) -> String {
         .field_u64("index", shard.index as u64)
         .field_bool("completed", outcome.completed)
         .field_u64("engine_steps", outcome.engine_steps)
-        .field_u64("armed", outcome.armed as u64)
+        .field_u64("armed", outcome.armed_channels.len() as u64)
         .field_u64("landed", outcome.landed as u64)
         .field_u64("expired", outcome.expired as u64)
         .field_u64("detected", outcome.pairs.len() as u64)
@@ -187,16 +187,17 @@ fn check_outcome(shard: Shard, outcome: &ShardOutcome) -> Result<(), CampaignErr
         return fail("mains did not run to completion".into());
     }
     let detected = outcome.pairs.len();
-    if !(detected <= outcome.landed && outcome.landed <= outcome.armed) {
+    let armed = outcome.armed_channels.len();
+    if !(detected <= outcome.landed && outcome.landed <= armed) {
         return fail(format!(
-            "detected ({detected}) <= landed ({}) <= armed ({}) does not hold",
-            outcome.landed, outcome.armed
+            "detected ({detected}) <= landed ({}) <= armed ({armed}) does not hold",
+            outcome.landed
         ));
     }
-    if outcome.landed + outcome.expired != outcome.armed {
+    if outcome.landed + outcome.expired != armed {
         return fail(format!(
-            "landed ({}) + expired ({}) != armed ({})",
-            outcome.landed, outcome.expired, outcome.armed
+            "landed ({}) + expired ({}) != armed ({armed})",
+            outcome.landed, outcome.expired
         ));
     }
     Ok(())

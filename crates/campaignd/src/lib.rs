@@ -24,7 +24,6 @@
 //! campaignd resume --dir d              alias of run
 //! campaignd status --dir d              progress (total/done/pending)
 //! campaignd merge  --dir d              shards -> merged.jsonl
-//! campaignd bench  --out BENCH.json     worker-scaling measurement
 //! ```
 //!
 //! ## Example

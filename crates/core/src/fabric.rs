@@ -107,13 +107,6 @@ impl FabricConfig {
         }
     }
 
-    /// Paper configuration with DMA spill enabled (alias of
-    /// [`FabricConfig::paper`], kept for call sites that emphasise the
-    /// asynchronous set-up).
-    pub fn paper_async() -> Self {
-        Self::paper()
-    }
-
     /// SRAM-only configuration: no DMA spill, double-buffered
     /// checkpoints. Exercises the hard backpressure path — the main core
     /// stalls whenever the checker lags past the on-chip buffers.

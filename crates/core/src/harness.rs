@@ -604,7 +604,6 @@ impl VerifiedRun {
         resolved: ResolvedTopology,
         programs: Vec<Program>,
         fabric: FabricConfig,
-        sched_mode: Option<flexstep_sim::SchedMode>,
         fault_plan: FaultPlan,
         recovery_policy: RecoveryPolicy,
         observers: Vec<Box<dyn Observer + Send>>,
@@ -682,9 +681,6 @@ impl VerifiedRun {
             fs.soc.core_mut(main).state.pc = program.entry;
             fs.soc.core_mut(main).state.prv = PrivMode::User;
             fs.soc.core_mut(main).unpark();
-        }
-        if let Some(mode) = sched_mode {
-            fs.soc.set_sched_mode(mode);
         }
         let mut slot_of = vec![None; cores];
         for (slot, &m) in mains.iter().enumerate() {
@@ -921,13 +917,6 @@ impl VerifiedRun {
                 .checkers
                 .iter()
                 .all(|&c| self.fs.fabric.unit(c).checker.phase == CheckPhase::WaitScp)
-    }
-
-    /// Selects the ready-core scheduler; see
-    /// [`SchedMode`](flexstep_sim::SchedMode). Both modes produce
-    /// bit-identical runs — `LinearScan` exists for A/B benchmarking.
-    pub fn set_sched_mode(&mut self, mode: flexstep_sim::SchedMode) {
-        self.fs.soc.set_sched_mode(mode);
     }
 
     // ----- stepping ---------------------------------------------------------
@@ -1291,6 +1280,23 @@ impl VerifiedRun {
                         main: orphan,
                         cycle: now,
                     });
+                }
+            }
+            // Slots that finished their hand-over (a pairing release or
+            // a finish) before the kill are no orphans, yet still name
+            // the dead arbiter: a later acquire or rollback would adopt
+            // them back onto the dead checker and wait forever.
+            let stale: Vec<usize> = (0..self.mains.len())
+                .filter(|&slot| self.arbiter_of[slot] == Some(ai))
+                .collect();
+            for (k, slot) in stale.into_iter().enumerate() {
+                if !survivors.is_empty() {
+                    let target = survivors[(orphans.len() + k) % survivors.len()];
+                    self.arbiter_of[slot] = Some(target);
+                } else if self.done[slot] {
+                    self.arbiter_of[slot] = None;
+                } else {
+                    self.degrade_unchecked(slot, now);
                 }
             }
         } else if let Some((main, survivors)) = self.fs.fabric.kill_checker(checker) {

@@ -1,10 +1,11 @@
 //! A minimal hand-rolled JSON writer and reader.
 //!
-//! The experiment binaries (`perf_report`, `fig8`) and the run reports
-//! emit machine-readable artifacts; the build image has no registry
-//! access for `serde`, so this module provides the small, allocation-
-//! light subset they need: objects, arrays, strings with escaping, and
-//! numbers. Output is deterministic (insertion order preserved).
+//! The experiment binaries (`fig7_manycore`, `fig8`, `fig9_modes`) and
+//! the run reports emit machine-readable artifacts; the build image has
+//! no registry access for `serde`, so this module provides the small,
+//! allocation-light subset they need: objects, arrays, strings with
+//! escaping, and numbers. Output is deterministic (insertion order
+//! preserved).
 //!
 //! The reader side ([`JsonValue::parse`]) is a strict recursive-descent
 //! parser for the same subset, used by the `campaignd` engine to load

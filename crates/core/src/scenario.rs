@@ -48,7 +48,7 @@ use crate::harness::VerifiedRun;
 use crate::sink::Observer;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
-use flexstep_sim::{CoreModelKind, PairingSchedule, ReliabilityMode, SchedMode};
+use flexstep_sim::{CoreModelKind, PairingSchedule, ReliabilityMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -751,7 +751,6 @@ pub struct Scenario {
     cores: Option<usize>,
     topology: Topology,
     fabric: FabricConfig,
-    sched_mode: Option<SchedMode>,
     fault_plan: FaultPlan,
     recovery: RecoveryPolicy,
     observers: Vec<Box<dyn Observer + Send>>,
@@ -778,7 +777,6 @@ impl fmt::Debug for Scenario {
             .field("cores", &self.cores)
             .field("topology", &self.topology)
             .field("fabric", &self.fabric)
-            .field("sched_mode", &self.sched_mode)
             .field("fault_plan", &self.fault_plan)
             .field("recovery", &self.recovery)
             .field("observers", &self.observers.len())
@@ -799,7 +797,6 @@ impl Scenario {
             cores: None,
             topology: Topology::default(),
             fabric: FabricConfig::paper(),
-            sched_mode: None,
             fault_plan: FaultPlan::none(),
             recovery: RecoveryPolicy::Detect,
             observers: Vec::new(),
@@ -895,8 +892,8 @@ impl Scenario {
     /// Enables or disables segment-verdict memoization (default: on,
     /// via [`FabricConfig::paper`]). Memoization never changes results —
     /// a memo hit replays the cached per-step timing profile, so reports
-    /// are bit-identical either way; `memo(false)` exists for A/B
-    /// benchmarking and paranoia runs.
+    /// are bit-identical either way; `memo(false)` is the reference
+    /// path the memo-equivalence suites compare memoized runs against.
     pub fn memo(mut self, enable: bool) -> Self {
         if enable {
             if self.fabric.memo_capacity == 0 {
@@ -912,13 +909,6 @@ impl Scenario {
     /// like `memo(false)`).
     pub fn memo_capacity(mut self, entries: usize) -> Self {
         self.fabric.memo_capacity = entries;
-        self
-    }
-
-    /// Forces a ready-core scheduler (default: the SoC's adaptive
-    /// choice; see [`SchedMode`]). Both modes are bit-identical.
-    pub fn sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched_mode = Some(mode);
         self
     }
 
@@ -1196,7 +1186,6 @@ impl Scenario {
             resolved,
             self.programs,
             self.fabric,
-            self.sched_mode,
             self.fault_plan,
             self.recovery,
             self.observers,

@@ -41,9 +41,9 @@ fn run_with(
         .cores(1 + checkers)
         .topology(Topology::Custom(vec![(0, (1..=checkers).collect())]))
         .fabric(fabric)
-        .sched_mode(mode)
         .build()
         .expect("setup");
+    run.platform_mut().soc.set_sched_mode(mode);
     let report = run.run_to_completion(100_000_000);
     assert!(report.completed, "run must finish under {mode:?}");
     report

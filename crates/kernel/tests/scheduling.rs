@@ -189,7 +189,7 @@ fn fig1c_emergency_scenario_meets_deadlines() {
     let clock_ms = 1_600_000u64; // 1 ms at 1.6 GHz
     let mut sys = System::new(
         SocConfig::paper(2),
-        FabricConfig::paper_async(),
+        FabricConfig::paper(),
         KernelConfig::default(),
     );
     let t1 = spin_program("t1", 150_000, 0); // ~"WCET 15"

@@ -358,9 +358,7 @@ impl CoreTimingModel for OooModel {
 }
 
 /// Enum dispatch over the shipped timing models: the step loop stays
-/// monomorphic (no `Box<dyn>` indirection on the hot path — the
-/// `perf_report --guard` gate pins the in-order ns/step against the
-/// pre-trait baseline).
+/// monomorphic (no `Box<dyn>` indirection on the hot path).
 #[derive(Debug)]
 pub enum CoreModel {
     /// Single-issue in-order pipeline.

@@ -22,53 +22,45 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Which algorithm [`Soc::next_ready`](crate::Soc::next_ready) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// Both engines pick identical cores; [`Soc::new`](crate::Soc::new)
+/// selects the faster one for its core count via
+/// [`SchedMode::default_for`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Picks the measured-faster engine for the SoC's core count: the
-    /// linear scan at or below [`SchedMode::SCAN_CROSSOVER`] cores, the
-    /// event queue above it (see [`SchedMode::resolve`]).
-    #[default]
-    Adaptive,
     /// Binary-heap event queue: O(log n) per step.
     EventQueue,
-    /// The naive O(n) `min_by_key` scan — the reference implementation,
-    /// kept for A/B benchmarking and determinism cross-checks.
+    /// The naive O(n) `min_by_key` scan — the reference implementation
+    /// the determinism tests compare the event queue against, and the
+    /// faster engine at small core counts.
     LinearScan,
 }
 
 impl SchedMode {
     /// Core count above which the event queue beats the linear scan.
     ///
-    /// Measured on the `perf_report` scheduler microbench
-    /// (`scheduler/next_ready_scaling` in `BENCH_pr9.json`): at 8 cores
-    /// the `min_by_key` scan still wins clearly (21.9 vs 34.2 ns/step);
-    /// by 16 the heap is ahead (38.2 vs 41.4) and the scan's O(n) then
-    /// widens linearly (2.6× slower at 64 cores). Interpolating the two
-    /// measured lines between those points — the scan degrades ~2.4
-    /// ns/step per core, the heap ~0.5 — puts the crossing at ~14.3
-    /// cores. The previous threshold of 8 made `Adaptive` pick the
-    /// slower heap across the whole 9–14-core band (e.g. ~35 vs ~28
-    /// ns/step at 12 cores on the interpolated lines).
+    /// Measured by the scheduler scaling table in `BENCH_pr9.json`
+    /// (`scheduler/next_ready_scaling`): at 8 cores the `min_by_key`
+    /// scan still wins clearly (21.9 vs 34.2 ns/step); by 16 the heap
+    /// is ahead (38.2 vs 41.4) and the scan's O(n) then widens linearly
+    /// (2.6× slower at 64 cores). Interpolating the two measured lines
+    /// between those points — the scan degrades ~2.4 ns/step per core,
+    /// the heap ~0.5 — puts the crossing at ~14.3 cores. The previous
+    /// threshold of 8 picked the slower heap across the whole 9–14-core
+    /// band (e.g. ~35 vs ~28 ns/step at 12 cores on the interpolated
+    /// lines). The benchmark's `sim.next_ready_ns_2c` and
+    /// `sim.next_ready_ns_16c` metrics time one SoC on each side of the
+    /// crossover.
     pub const SCAN_CROSSOVER: usize = 14;
 
     /// The faster scheduler for an SoC of `num_cores` per the measured
     /// crossover: the linear scan at or below
     /// [`SchedMode::SCAN_CROSSOVER`] cores, the event queue above it.
-    /// Both pick identical cores; this only selects the faster engine.
     pub fn default_for(num_cores: usize) -> Self {
         if num_cores > Self::SCAN_CROSSOVER {
             SchedMode::EventQueue
         } else {
             SchedMode::LinearScan
-        }
-    }
-
-    /// Resolves `Adaptive` to the concrete engine used for `num_cores`;
-    /// explicit modes resolve to themselves.
-    pub fn resolve(self, num_cores: usize) -> Self {
-        match self {
-            SchedMode::Adaptive => Self::default_for(num_cores),
-            other => other,
         }
     }
 }
@@ -218,25 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_resolves_to_the_measured_faster_mode() {
+    fn default_for_picks_the_measured_faster_mode() {
         // Pinned against the `scheduler/next_ready_scaling` table in
         // BENCH_pr9.json: the linear scan measures faster through 8
         // cores (21.9 vs 34.2 ns/step) and the interpolated lines cross
         // at ~14.3; the event queue measures faster from 16 up (38.2 vs
-        // 41.4, widening to 46.0 vs 121.7 at 64). Adaptive must never
-        // pick the slower engine at a measured point.
-        assert_eq!(SchedMode::Adaptive.resolve(2), SchedMode::LinearScan);
-        assert_eq!(SchedMode::Adaptive.resolve(8), SchedMode::LinearScan);
-        assert_eq!(SchedMode::Adaptive.resolve(16), SchedMode::EventQueue);
-        assert_eq!(SchedMode::Adaptive.resolve(64), SchedMode::EventQueue);
+        // 41.4, widening to 46.0 vs 121.7 at 64). `default_for` must
+        // never pick the slower engine at a measured point.
+        assert_eq!(SchedMode::default_for(2), SchedMode::LinearScan);
+        assert_eq!(SchedMode::default_for(8), SchedMode::LinearScan);
+        assert_eq!(SchedMode::default_for(16), SchedMode::EventQueue);
+        assert_eq!(SchedMode::default_for(64), SchedMode::EventQueue);
         // The 9–14-core band sits below the interpolated ~14.3-core
         // crossing: the scan must keep winning right up to it.
-        assert_eq!(SchedMode::Adaptive.resolve(12), SchedMode::LinearScan);
-        assert_eq!(SchedMode::Adaptive.resolve(14), SchedMode::LinearScan);
-        assert_eq!(SchedMode::Adaptive.resolve(15), SchedMode::EventQueue);
-        // Explicit modes are not second-guessed.
-        assert_eq!(SchedMode::EventQueue.resolve(2), SchedMode::EventQueue);
-        assert_eq!(SchedMode::LinearScan.resolve(64), SchedMode::LinearScan);
+        assert_eq!(SchedMode::default_for(12), SchedMode::LinearScan);
+        assert_eq!(SchedMode::default_for(14), SchedMode::LinearScan);
+        assert_eq!(SchedMode::default_for(15), SchedMode::EventQueue);
     }
 
     #[test]

@@ -224,16 +224,12 @@ impl Soc {
         })
     }
 
-    /// Selects the ready-core scheduling algorithm (see [`SchedMode`]).
-    /// Both modes pick identical cores; `LinearScan` exists for A/B
-    /// benchmarking and determinism cross-checks.
+    /// Selects the ready-core scheduling algorithm (see [`SchedMode`]),
+    /// overriding [`SchedMode::default_for`]. Both modes pick identical
+    /// cores; the determinism tests use this to run the same SoC on
+    /// each engine.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched_mode = mode;
-    }
-
-    /// The active scheduling algorithm.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched_mode
     }
 
     /// Number of cores.
@@ -396,13 +392,6 @@ impl Soc {
         match self.sched_mode {
             SchedMode::EventQueue => self.ready.peek_min(&self.cores),
             SchedMode::LinearScan => self.next_ready_core(),
-            SchedMode::Adaptive => {
-                if self.cores.len() > SchedMode::SCAN_CROSSOVER {
-                    self.ready.peek_min(&self.cores)
-                } else {
-                    self.next_ready_core()
-                }
-            }
         }
     }
 
@@ -1196,6 +1185,8 @@ mod tests {
     #[test]
     fn event_queue_matches_linear_scan() {
         let mut soc = Soc::new(SocConfig::paper(3)).unwrap();
+        // Three cores default to the scan; force the queue.
+        soc.set_sched_mode(SchedMode::EventQueue);
         assert_eq!(soc.next_ready(), None);
         soc.core_mut(0).unpark();
         soc.core_mut(1).unpark();

@@ -718,8 +718,10 @@ pub fn feature_search_kernel(name: &str, vectors: i64, dims: i64, rounds: i64) -
 }
 
 /// A segment-aligned stateless control loop — the best case for the
-/// segment-verdict memo (DESIGN.md §13) and the workload behind the
-/// `memo/control_loop_ab` rows in `perf_report`.
+/// segment-verdict memo (DESIGN.md §13) — placed in slot `slot`'s
+/// text/data window, so several instances can run side by side on
+/// multi-main topologies (programs bound to a scenario must use
+/// disjoint address windows).
 ///
 /// The loop body re-derives every live register from immediates each
 /// iteration, so the architectural state at checking-segment starts
@@ -733,18 +735,6 @@ pub fn feature_search_kernel(name: &str, vectors: i64, dims: i64, rounds: i64) -
 /// 5 000) — the loop body is padded to exactly
 /// `segment_insts * segments_per_rep` instructions so segment
 /// boundaries land at the same PCs in every repetition.
-pub fn control_loop_kernel(
-    name: &str,
-    segment_insts: i64,
-    segments_per_rep: i64,
-    reps: i64,
-) -> Program {
-    control_loop_kernel_in(Assembler::new(name), segment_insts, segments_per_rep, reps)
-}
-
-/// [`control_loop_kernel`] placed in a per-slot text/data window, so
-/// several instances can run side by side on multi-main topologies
-/// (programs bound to a scenario must use disjoint address windows).
 pub fn control_loop_kernel_at(
     name: &str,
     segment_insts: i64,
@@ -752,20 +742,11 @@ pub fn control_loop_kernel_at(
     reps: i64,
     slot: u64,
 ) -> Program {
-    let asm = Assembler::with_bases(
+    let mut asm = Assembler::with_bases(
         name,
         0x1000_0000 + slot * 0x10_0000,
         0x2000_0000 + slot * 0x10_0000,
     );
-    control_loop_kernel_in(asm, segment_insts, segments_per_rep, reps)
-}
-
-fn control_loop_kernel_in(
-    mut asm: Assembler,
-    segment_insts: i64,
-    segments_per_rep: i64,
-    reps: i64,
-) -> Program {
     assert!(segment_insts >= 64, "segment too short to align against");
     assert!(
         segments_per_rep >= 2,
@@ -854,7 +835,7 @@ mod tests {
 
     #[test]
     fn control_loop_kernel_retires_segment_aligned_counts() {
-        let p = control_loop_kernel("ctrl", 5_000, 2, 3);
+        let p = control_loop_kernel_at("ctrl", 5_000, 2, 3, 0);
         let mut soc = Soc::new(SocConfig::paper(1)).expect("config");
         let retired = soc.run_to_ecall(&p, 10_000_000);
         // prologue + reps * (segment_insts * segments_per_rep) + ecall;

@@ -86,11 +86,58 @@ fn mode_strategy() -> impl Strategy<Value = ReliabilityMode> {
     (0..RELIABILITY_MODES.len()).prop_map(|i| RELIABILITY_MODES[i])
 }
 
+/// A pool slot whose pairing release finished its hand-over before the
+/// pool's only checker died is no orphan of the dead arbiter. The kill
+/// must still degrade it: otherwise its re-acquire adopts it back onto
+/// the dead checker, and a `FullLockstep` main waits at its checkpoint
+/// forever. Both mains run on unchecked, each with a warning.
+#[test]
+fn reacquire_after_the_pool_checker_dies_completes() {
+    for rollback in [false, true] {
+        let recovery = if rollback {
+            RecoveryPolicy::Rollback { max_retries: 3 }
+        } else {
+            RecoveryPolicy::Detect
+        };
+        for mode in [ReliabilityMode::FullLockstep, ReliabilityMode::SegmentCheck] {
+            let mut run = Scenario::new(&checksum_job(0, 600))
+                .program(&checksum_job(1, 600))
+                .cores(3)
+                .topology(Topology::SharedChecker { checkers: 1 })
+                .fabric(small_segments())
+                .reliability_mode(0, mode)
+                .pairing_schedule(
+                    PairingSchedule::new()
+                        .window(0, 2_487, 3_845)
+                        .window(1, 2_487, 3_845),
+                )
+                .recovery(recovery)
+                .fault_plan(FaultPlan::kill_checker_at(2_546))
+                .build()
+                .expect("setup");
+            let report = run.run_to_completion(100_000_000);
+            assert!(report.completed, "{mode}, {recovery:?}: run must finish");
+            let mut warned: Vec<usize> = report
+                .warnings
+                .iter()
+                .filter_map(|w| match w {
+                    RunWarning::UncheckedExecution { main, .. } => Some(*main),
+                    _ => None,
+                })
+                .collect();
+            warned.sort_unstable();
+            assert_eq!(warned, [0, 1], "{mode}, {recovery:?}: both mains warned");
+            coverage_adds_up(&report, rollback).expect("coverage");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random per-slot modes × random release/re-acquire windows ×
-    /// random fault plans: the run completes and the attribution chain
+    /// random fault plans, with or without a checker kill, under either
+    /// recovery policy: the run completes and the attribution chain
     /// stays ordered. Warnings only ever annotate expired shots.
     #[test]
     fn attribution_orders_under_random_modes_and_schedules(
@@ -101,6 +148,8 @@ proptest! {
         window_len in 1_000u64..8_000,
         shots in proptest::collection::vec((1_000u64..20_000, 0usize..2, any::<bool>()), 1..4),
         seed in 0u64..1_000,
+        // One tuple: the vendored `proptest!` takes at most 8 inputs.
+        (kill, kill_at, rollback) in (any::<bool>(), 1_000u64..8_000, any::<bool>()),
     ) {
         let p0 = checksum_job(0, 600);
         let p1 = checksum_job(1, 600);
@@ -137,7 +186,15 @@ proptest! {
                 plan.then_random_at(at).on_channel(channel)
             };
         }
-        let mut run = scenario.fault_plan(plan).build().expect("setup");
+        if kill {
+            plan = plan.then_kill_checker_at(kill_at);
+        }
+        let recovery = if rollback {
+            RecoveryPolicy::Rollback { max_retries: 3 }
+        } else {
+            RecoveryPolicy::Detect
+        };
+        let mut run = scenario.fault_plan(plan).recovery(recovery).build().expect("setup");
         let report = run.run_to_completion(100_000_000);
 
         prop_assert!(report.completed, "mode run must finish");
@@ -156,7 +213,7 @@ proptest! {
         for (slot, stat) in report.mode_stats.iter().enumerate() {
             prop_assert_eq!(stat.mode, modes[slot]);
         }
-        coverage_adds_up(&report, false)?;
+        coverage_adds_up(&report, rollback)?;
     }
 
     /// Coverage adds up under checker loss and rollback too: once the
