@@ -53,11 +53,11 @@ pub struct Core {
     /// I-cache line of the previous fetch (L0 fetch fast path): a repeat
     /// fetch of the same line is a guaranteed L1 hit and cannot change
     /// any replacement decision, so the tag-array walk is skipped.
+    /// Invalidated when any core stores to the line.
     pub(crate) last_fetch_line: u64,
-    /// The words of `last_fetch_line` (valid when the line is 64 bytes):
-    /// repeat fetches read straight from this buffer, skipping the sparse
-    /// page map. Invalidated when this core stores to the line.
-    pub(crate) line_buf: [u32; 16],
+    /// Index of the SoC's decoded text image this core last fetched
+    /// from: the first one fetch looks in.
+    pub(crate) image: usize,
 }
 
 impl Core {
@@ -81,7 +81,7 @@ impl Core {
             timer_cmp: None,
             timer_pending: false,
             last_fetch_line: u64::MAX,
-            line_buf: [0; 16],
+            image: 0,
         }
     }
 
@@ -107,7 +107,7 @@ impl Core {
     }
 
     /// Resets the microarchitectural timing state — branch-predictor
-    /// tables, the load-use hazard latch and the L0 fetch buffer — as
+    /// tables, the load-use hazard latch and the L0 fetch line — as
     /// part of a replay context switch. The FlexStep engine calls this
     /// when a checker applies a segment start checkpoint, making each
     /// segment's replay timing a pure function of (checkpoint, log

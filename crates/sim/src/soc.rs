@@ -12,7 +12,7 @@
 
 use crate::bpred::BpredConfig;
 use crate::core::{Core, RunState};
-use crate::exec::{execute, BranchOutcome, MemAccess, Stop};
+use crate::exec::{execute, BranchOutcome, MemAccess, MemAccessKind, Stop};
 use crate::hart::{CsrCounters, PrivMode, TrapCause};
 use crate::model::{CoreModel, RetireInfo};
 use crate::port::{DataPort, PortStop, ReplayControl, SocDataPort};
@@ -129,27 +129,32 @@ pub struct StepResult {
     pub now: u64,
 }
 
-/// Slots in the decoded-instruction cache (power of two). Decoding is a
-/// pure function of the fetched word, so memoising it is invisible to
-/// both architectural results and timing.
-const DECODE_SLOTS: usize = 4096;
+/// Longest superblock: a straight-line run of decoded µops (no control
+/// flow, atomics or system instructions) that [`Soc::run_to_ecall`] and
+/// the FlexStep engine execute without re-entering the step loop between
+/// them; per-instruction timing is identical to stepping.
+const BLOCK_MAX: u64 = 32;
 
-/// Slots in the direct-mapped superblock cache (power of two), keyed by
-/// start pc. A superblock is a straight-line run of decoded µops (no
-/// control flow, atomics or system instructions) that
-/// [`Soc::run_to_ecall`] executes without re-entering the step loop
-/// between them; per-instruction timing is identical to stepping.
-const BLOCK_SLOTS: usize = 512;
+/// A loaded program's text, decoded once: `insts[i]` is the instruction
+/// at `base + 4 * i`, `None` where the word does not decode.
+struct TextImage {
+    base: u64,
+    insts: Vec<Option<Inst>>,
+}
 
-/// Longest straight-line run cached per superblock.
-const BLOCK_MAX: usize = 32;
+impl TextImage {
+    /// The decoded instruction at `pc`, or `None` when `pc` is not one of
+    /// the image's words.
+    #[inline]
+    fn get(&self, pc: u64) -> Option<Option<Inst>> {
+        let offset = pc.wrapping_sub(self.base);
+        let index = offset.is_multiple_of(4).then_some(offset / 4)?;
+        self.insts.get(index as usize).copied()
+    }
 
-/// A cached straight-line run of decoded instructions starting at `pc`,
-/// valid while the code-write epoch is unchanged.
-struct Superblock {
-    pc: u64,
-    epoch: u64,
-    insts: Vec<Inst>,
+    fn end(&self) -> u64 {
+        self.base + 4 * self.insts.len() as u64
+    }
 }
 
 /// The simulated SoC.
@@ -164,24 +169,18 @@ pub struct Soc {
     now: u64,
     ready: ReadyQueue,
     sched_mode: SchedMode,
-    /// Direct-mapped memo of `decode`, keyed by instruction word.
-    decode_cache: Box<[Option<(u32, Inst)>]>,
     /// Mask selecting the I-cache line address of a pc (L0 fetch path).
     fetch_line_mask: u64,
-    /// Whether the per-core 16-word line buffer applies (64-byte lines).
-    line_buf_ok: bool,
     /// Bumped whenever executable text may have changed: on
-    /// [`Soc::load_program`] and on any store into a loaded text range.
-    /// Consumers caching decoded state (superblocks, the FlexStep
-    /// segment-verdict memo) key their entries on this epoch.
+    /// [`Soc::load_program`] and on any store into an I-cache line of a
+    /// loaded text image. Consumers caching per-segment verdicts (the
+    /// FlexStep segment-verdict memo) key their entries on this epoch.
+    /// Writes through `mem.phys_mut()` bypass it.
     code_epoch: u64,
-    /// `(base, end)` of every loaded program text image, line-aligned
-    /// outward, for the store-into-code epoch check.
-    text_ranges: Vec<(u64, u64)>,
-    /// Whether [`Soc::run_to_ecall`] may dispatch superblocks.
-    superblocks: bool,
-    /// Direct-mapped superblock cache, keyed by start pc.
-    block_cache: Box<[Option<Superblock>]>,
+    /// Every loaded program's text, decoded at [`Soc::load_program`] and
+    /// decoded again where a store lands in it. Fetch reads instructions
+    /// from here; text outside every image is read and decoded per fetch.
+    images: Vec<TextImage>,
 }
 
 impl std::fmt::Debug for Soc {
@@ -214,13 +213,9 @@ impl Soc {
             bpred_cfg: config.bpred,
             now: 0,
             sched_mode: SchedMode::default_for(config.num_cores),
-            decode_cache: vec![None; DECODE_SLOTS].into_boxed_slice(),
             fetch_line_mask: !(config.mem.l1i.line_bytes as u64 - 1),
-            line_buf_ok: config.mem.l1i.line_bytes == 64,
             code_epoch: 0,
-            text_ranges: Vec::new(),
-            superblocks: true,
-            block_cache: (0..BLOCK_SLOTS).map(|_| None).collect(),
+            images: Vec::new(),
         })
     }
 
@@ -287,53 +282,79 @@ impl Soc {
     }
 
     /// Loads a program image into physical memory (no cache effects; call
-    /// [`MemorySystem::flush_all`] when reloading over a live system).
+    /// [`MemorySystem::flush_all`] when reloading over a live system) and
+    /// decodes its text once, for every later fetch.
     pub fn load_program(&mut self, program: &Program) {
-        self.mem
-            .phys_mut()
-            .load_words(program.text_base, &program.text);
+        let (base, len) = (program.text_base, program.text.len());
+        self.mem.phys_mut().load_words(base, &program.text);
         self.mem.phys_mut().load(program.data_base, &program.data);
-        // The image may overwrite text the L0 fetch buffers still hold.
+        // A reload at the same base keeps a longer image's tail, which
+        // memory still holds.
+        match self.images.iter_mut().find(|image| image.base == base) {
+            Some(image) => image.insts.resize(len.max(image.insts.len()), None),
+            None => self.images.push(TextImage {
+                base,
+                insts: vec![None; len],
+            }),
+        }
+        // Either segment may overlap text loaded earlier.
+        self.decode_again(base, program.text_end());
+        self.decode_again(program.data_base, program.data_end());
         for core in &mut self.cores {
             core.last_fetch_line = u64::MAX;
-        }
-        // Record the text image (line-aligned outward) for the
-        // store-into-code epoch check, and invalidate cached decode runs.
-        let base = program.text_base & self.fetch_line_mask;
-        let end = program.text_base + 4 * program.text.len() as u64;
-        if let Some(r) = self.text_ranges.iter_mut().find(|r| r.0 == base) {
-            r.1 = r.1.max(end);
-        } else {
-            self.text_ranges.push((base, end));
         }
         self.code_epoch += 1;
     }
 
     /// The code-write epoch: bumped on [`Soc::load_program`] and on any
-    /// store into a loaded text range. Anything caching decoded
-    /// instruction state (superblocks, the FlexStep segment-verdict
+    /// store into an I-cache line of a loaded text image. Anything
+    /// caching state derived from the code (the FlexStep segment-verdict
     /// memo) must key on this value. Direct writes through
-    /// `mem.phys_mut()` bypass the epoch; callers patching code that way
-    /// must reload via `load_program`.
+    /// `mem.phys_mut()` bypass both the epoch and the decoded text image:
+    /// fetch keeps executing the words decoded at load, so callers
+    /// patching code that way must reload via `load_program`.
     pub fn code_epoch(&self) -> u64 {
         self.code_epoch
     }
 
-    /// Whether the I-cache line at `line` overlaps a loaded text image.
-    #[inline]
-    fn line_in_text(&self, line: u64) -> bool {
-        let line_end = line | !self.fetch_line_mask;
-        self.text_ranges
-            .iter()
-            .any(|&(base, end)| line_end >= base && line < end)
+    /// Decodes again, from memory, every image word overlapping
+    /// `[start, end)`.
+    fn decode_again(&mut self, start: u64, end: u64) {
+        let phys = self.mem.phys();
+        for image in &mut self.images {
+            let first = start.max(image.base);
+            let mut at = first - (first - image.base) % 4;
+            while at < end.min(image.end()) {
+                image.insts[((at - image.base) / 4) as usize] = decode(phys.read_u32(at)).ok();
+                at += 4;
+            }
+        }
     }
 
-    /// Enables or disables superblock dispatch in [`Soc::run_to_ecall`]
-    /// (on by default). Timing and architectural results are identical
-    /// either way; the toggle exists for A/B benchmarking and the
-    /// equivalence tests.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
+    /// Bookkeeping after an access retires: a store (plain, SC or AMO,
+    /// live or replayed) makes every core fetching from its line refetch
+    /// through the modelled I-cache — cross-core code patching included —
+    /// and a store into a line of loaded text is code patching: it bumps
+    /// the code epoch and decodes the stored words again.
+    fn after_access(&mut self, access: Option<&MemAccess>) {
+        let Some(store) = access.filter(|m| !is_load(m)) else {
+            return;
+        };
+        let line = store.addr & self.fetch_line_mask;
+        for c in &mut self.cores {
+            if c.last_fetch_line == line {
+                c.last_fetch_line = u64::MAX;
+            }
+        }
+        let line_end = line | !self.fetch_line_mask;
+        if self
+            .images
+            .iter()
+            .any(|image| line_end >= image.base && line < image.end())
+        {
+            self.code_epoch += 1;
+            self.decode_again(store.addr, store.addr.saturating_add(u64::from(store.size)));
+        }
     }
 
     /// Charges one replayed-retire worth of bookkeeping to `core`
@@ -437,26 +458,6 @@ impl Soc {
         self.ready.mark_dirty(id);
     }
 
-    /// Memoised instruction decode: a direct-mapped, word-keyed cache in
-    /// front of the pure `decode` function. Misses (including words that
-    /// do not decode) fall through to the real decoder.
-    #[inline]
-    fn decode_cached(&mut self, word: u32) -> Option<Inst> {
-        let idx = (word ^ word.rotate_right(16)) as usize & (DECODE_SLOTS - 1);
-        if let Some((w, inst)) = self.decode_cache[idx] {
-            if w == word {
-                return Some(inst);
-            }
-        }
-        match decode(word) {
-            Ok(inst) => {
-                self.decode_cache[idx] = Some((word, inst));
-                Some(inst)
-            }
-            Err(_) => None,
-        }
-    }
-
     /// Steps `core` one instruction through the normal memory port.
     ///
     /// # Panics
@@ -468,10 +469,9 @@ impl Soc {
 
     /// Steps `core` one instruction with a caller-supplied data port
     /// (checker replay). Replay fetch bypasses the modelled I-cache: it
-    /// reads through the core's L0 line buffer and the decode memo and
-    /// charges no fetch cycles beyond the pipelined hit, so replay timing
-    /// depends only on (start checkpoint, log stream, code bytes)
-    /// (DESIGN.md §13).
+    /// reads the decoded text image and charges no fetch cycles beyond
+    /// the pipelined hit, so replay timing depends only on (start
+    /// checkpoint, log stream, code bytes) (DESIGN.md §13).
     ///
     /// # Panics
     ///
@@ -516,12 +516,12 @@ impl Soc {
         // Fetch: a pipelined front end hides the L1 hit; only the
         // penalty beyond the hit stalls the core.
         let pc = self.cores[id].state.pc;
-        let (word, fetch_cycles) = self.fetch(id, pc, custom.is_some());
-        let Some(inst) = self.decode_cached(word) else {
+        let fetch_cycles = self.fetch_cycles(id, pc, custom.is_some());
+        let Some(inst) = self.inst_at(id, pc) else {
             return StepResult {
                 kind: StepKind::Trap {
                     cause: TrapCause::IllegalInstruction,
-                    tval: u64::from(word),
+                    tval: u64::from(self.mem.phys().read_u32(pc)),
                     pc,
                 },
                 cycles: fetch_cycles,
@@ -550,38 +550,24 @@ impl Soc {
             time: now,
             instret: self.cores[id].instret,
         };
-        let (outcome, custom) = match custom {
+        let replay = custom.is_some();
+        let mut soc_port;
+        let port: &mut dyn DataPort = match custom {
+            Some(port) => port,
             None => {
-                let mem = &mut self.mem;
-                let core = &mut self.cores[id];
-                let mut port = SocDataPort::new(mem, id);
-                (
-                    execute(
-                        &mut core.state,
-                        &inst,
-                        &counters,
-                        &self.costs,
-                        &mut port,
-                        &mut core.resv,
-                    ),
-                    None,
-                )
-            }
-            Some(port) => {
-                let core = &mut self.cores[id];
-                let outcome = execute(
-                    &mut core.state,
-                    &inst,
-                    &counters,
-                    &self.costs,
-                    &mut *port,
-                    &mut core.resv,
-                );
-                (outcome, Some(port))
+                soc_port = SocDataPort::new(&mut self.mem, id);
+                &mut soc_port
             }
         };
-
         let core = &mut self.cores[id];
+        let outcome = execute(
+            &mut core.state,
+            &inst,
+            &counters,
+            &self.costs,
+            port,
+            &mut core.resv,
+        );
         match outcome {
             Ok(exec) => {
                 // Forwarded control flow: a checker replaying an
@@ -590,8 +576,8 @@ impl Soc {
                 // A forwarded outcome disagreeing with this retirement is
                 // a detection — the port aborts the instruction exactly
                 // like a data-log mismatch.
-                let branch_hinted = match (custom, exec.branch) {
-                    (Some(port), Some(_)) => match port.branch_outcome(exec.next_pc) {
+                let branch_hinted = match exec.branch {
+                    Some(_) if replay => match port.branch_outcome(exec.next_pc) {
                         Ok(hinted) => hinted,
                         Err(stop) => {
                             return StepResult {
@@ -604,25 +590,6 @@ impl Soc {
                     _ => false,
                 };
 
-                // Self-modifying code: a store into a line some L0 fetch
-                // buffer holds invalidates it on *every* core (cross-core
-                // code patching included), so the affected cores refetch
-                // through the modelled I-cache — and live memory — on
-                // their next step.
-                let stored_line = exec.mem.as_ref().and_then(|m| {
-                    (!matches!(
-                        m.kind,
-                        crate::exec::MemAccessKind::Load | crate::exec::MemAccessKind::Lr
-                    ))
-                    .then_some(m.addr & self.fetch_line_mask)
-                });
-                let mem_is_load = exec.mem.as_ref().is_some_and(|m| {
-                    matches!(
-                        m.kind,
-                        crate::exec::MemAccessKind::Load | crate::exec::MemAccessKind::Lr
-                    )
-                });
-
                 // Timing: the slot's core model owns every hazard and
                 // speculation decision.
                 let cycles = core.model.retire(
@@ -631,7 +598,7 @@ impl Soc {
                         inst: &inst,
                         fetch_cycles,
                         extra_cycles: exec.extra_cycles,
-                        mem_is_load,
+                        mem_is_load: exec.mem.as_ref().is_some_and(is_load),
                         branch: exec.branch,
                         branch_hinted,
                     },
@@ -645,19 +612,7 @@ impl Soc {
                 }
                 core.busy_cycles += cycles;
                 core.ready_at = now + cycles;
-
-                if let Some(line) = stored_line {
-                    for c in &mut self.cores {
-                        if c.last_fetch_line == line {
-                            c.last_fetch_line = u64::MAX;
-                        }
-                    }
-                    // A store into loaded text is (potential) code
-                    // patching: invalidate every cached decode run.
-                    if self.line_in_text(line) {
-                        self.code_epoch += 1;
-                    }
-                }
+                self.after_access(exec.mem.as_ref());
 
                 StepResult {
                     kind: StepKind::Retired(Retired {
@@ -740,11 +695,9 @@ impl Soc {
         control: &mut C,
         horizon: u64,
     ) -> u64 {
-        {
-            let core = &self.cores[id];
-            if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
-                return 0;
-            }
+        let core = &self.cores[id];
+        if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
+            return 0;
         }
         self.ready.mark_dirty(id);
         self.now = self.now.max(self.cores[id].ready_at);
@@ -752,8 +705,8 @@ impl Soc {
         let mut retired = 0;
         while at < horizon && control.admit() {
             let pc = self.cores[id].state.pc;
-            let (word, fetch_cycles) = self.fetch(id, pc, true);
-            let Some(inst) = self.decode_cached(word) else {
+            let fetch_cycles = self.fetch_cycles(id, pc, true);
+            let Some(inst) = self.inst_at(id, pc) else {
                 break;
             };
             if matches!(
@@ -787,8 +740,8 @@ impl Soc {
         retired
     }
 
-    /// Fetches the instruction word at `pc` for core `id`: the word and
-    /// the fetch cycles charged beyond the pipelined L1 hit.
+    /// Charges core `id`'s fetch of `pc`: the cycles beyond the pipelined
+    /// L1 hit.
     ///
     /// L0 fast path: a fetch from the line fetched immediately before is
     /// a guaranteed L1 hit (nothing can evict it in between — the I-cache
@@ -805,41 +758,35 @@ impl Soc {
     /// segment-verdict memo needs — and is why a checker's L1I stays cold
     /// (DESIGN.md §13).
     #[inline]
-    fn fetch(&mut self, id: usize, pc: u64, replay: bool) -> (u32, u64) {
+    fn fetch_cycles(&mut self, id: usize, pc: u64, replay: bool) -> u64 {
         let line = pc & self.fetch_line_mask;
         if self.cores[id].last_fetch_line == line {
-            let w = if self.line_buf_ok {
-                self.cores[id].line_buf[(pc as usize >> 2) & 15]
-            } else {
-                self.mem.phys().read_u32(pc)
-            };
-            (w, 0)
-        } else if replay {
-            self.refill_line_buf(id, line);
-            if self.line_buf_ok {
-                (self.cores[id].line_buf[(pc as usize >> 2) & 15], 0)
-            } else {
-                (self.mem.phys().read_u32(pc), 0)
-            }
-        } else {
-            let (word, fetch_total) = self.mem.fetch(id, pc);
-            self.refill_line_buf(id, line);
-            (word, fetch_total.saturating_sub(self.mem.latency().l1_hit))
+            return 0;
         }
+        self.cores[id].last_fetch_line = line;
+        if replay {
+            return 0;
+        }
+        let (_, fetch_total) = self.mem.fetch(id, pc);
+        fetch_total.saturating_sub(self.mem.latency().l1_hit)
     }
 
-    /// Makes `line` core `id`'s last fetched line, copying its words into
-    /// the L0 line buffer when the buffer covers a whole line.
+    /// The instruction at `pc` (`None` if its word does not decode): from
+    /// the text image core `id` last fetched from, else from any loaded
+    /// image, else read from memory and decoded.
     #[inline]
-    fn refill_line_buf(&mut self, id: usize, line: u64) {
-        self.cores[id].last_fetch_line = line;
-        if self.line_buf_ok {
-            let phys = self.mem.phys();
-            let core = &mut self.cores[id];
-            for (i, slot) in core.line_buf.iter_mut().enumerate() {
-                *slot = phys.read_u32(line + 4 * i as u64);
+    fn inst_at(&mut self, id: usize, pc: u64) -> Option<Inst> {
+        let hint = self.cores[id].image;
+        if let Some(inst) = self.images.get(hint).and_then(|image| image.get(pc)) {
+            return inst;
+        }
+        for (i, image) in self.images.iter().enumerate() {
+            if let Some(inst) = image.get(pc) {
+                self.cores[id].image = i;
+                return inst;
             }
         }
+        decode(self.mem.phys().read_u32(pc)).ok()
     }
 
     /// Completes a [`StepKind::Flex`] instruction on behalf of the
@@ -869,70 +816,29 @@ impl Soc {
         )
     }
 
-    /// Builds the superblock starting at `pc` into its slot. Metadata
-    /// only: words are read straight from physical memory with no timing
-    /// or cache effects — execution charges fetches per instruction,
-    /// exactly like stepping.
-    fn build_block(&mut self, pc: u64) -> usize {
-        let slot = ((pc >> 2) as usize) & (BLOCK_SLOTS - 1);
-        let mut insts = Vec::new();
-        let mut at = pc;
-        while insts.len() < BLOCK_MAX {
-            let word = self.mem.phys().read_u32(at);
-            match self.decode_cached(word) {
-                Some(inst) if Self::block_eligible(&inst) => insts.push(inst),
-                _ => break,
-            }
-            at += 4;
-        }
-        self.block_cache[slot] = Some(Superblock {
-            pc,
-            epoch: self.code_epoch,
-            insts,
-        });
-        slot
-    }
-
-    /// Executes the superblock at `id`'s pc, if any, retiring at most
-    /// `budget` instructions without re-entering the step loop between
-    /// them. Returns the retire count (0 when the next instruction is
-    /// not block-eligible). Per-instruction timing — fetch path, hazard
-    /// interlock, functional-unit costs — is identical to
-    /// [`Soc::step_core`]; a trap mid-block commits nothing and leaves
-    /// the faulting instruction for the step loop to classify. Single
-    /// driver only (used by [`Soc::run_to_ecall`]): it does not
-    /// interleave with other cores.
-    fn run_superblock(&mut self, id: usize, budget: u64) -> u64 {
-        self.run_superblock_logged(id, budget, |_| {})
-    }
-
-    /// `Soc::run_superblock` with a per-retire observation sink: after
-    /// each committed instruction `sink` receives the retiring memory
-    /// access (if any), letting a platform log the block's accesses
-    /// exactly as it would log individual [`StepKind::Retired`] steps.
-    /// Returns 0 (and runs nothing) when superblock dispatch is
-    /// disabled, the core is parked, or a timer is armed — callers fall
-    /// back to single-stepping.
+    /// Executes the superblock at `id`'s pc, if any, without re-entering
+    /// the step loop between its instructions, and returns the retire
+    /// count. After each committed instruction `sink` receives the
+    /// retiring memory access (if any), letting a platform log the
+    /// block's accesses exactly as it would log individual
+    /// [`StepKind::Retired`] steps. Per-instruction timing — fetch path,
+    /// hazard interlock, functional-unit costs — is identical to
+    /// [`Soc::step_core`].
+    ///
+    /// The block walks the decoded text from the core's pc and ends
+    /// before an instruction that is not block-eligible or traps (a trap
+    /// commits nothing and leaves the instruction for the step loop to
+    /// classify), after 32 instructions or `budget`, and after a store
+    /// into text. Returns 0 (and runs nothing) when the core is parked or
+    /// a timer is armed — callers fall back to single-stepping.
     pub fn run_superblock_logged<F>(&mut self, id: usize, budget: u64, mut sink: F) -> u64
     where
         F: FnMut(Option<&MemAccess>),
     {
-        if !self.superblocks {
+        let core = &self.cores[id];
+        if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
             return 0;
         }
-        {
-            let core = &self.cores[id];
-            if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
-                return 0;
-            }
-        }
-        let pc0 = self.cores[id].state.pc;
-        let slot = ((pc0 >> 2) as usize) & (BLOCK_SLOTS - 1);
-        let slot = match &self.block_cache[slot] {
-            Some(b) if b.pc == pc0 && b.epoch == self.code_epoch => slot,
-            _ => self.build_block(pc0),
-        };
-        let block = self.block_cache[slot].take().expect("slot just filled");
         self.ready.mark_dirty(id);
         let prv = self.cores[id].state.prv;
         let epoch0 = self.code_epoch;
@@ -945,24 +851,19 @@ impl Soc {
         // times and make engine-step interleaving observable.
         self.now = self.now.max(self.cores[id].ready_at);
         let mut local_now = self.now;
-        for inst in &block.insts {
-            if retired >= budget {
+        while retired < budget.min(BLOCK_MAX) {
+            // The instruction's eligibility is settled before its fetch
+            // is charged, so the step loop charges an ineligible one.
+            let pc = self.cores[id].state.pc;
+            let Some(inst) = self.inst_at(id, pc).filter(Self::block_eligible) else {
                 break;
-            }
+            };
             // Clock advance, fetch, execute, timing: the step_impl
             // sequence minus dispatch (no timer is armed — guarded
             // above — so the latch step_impl performs is a no-op here).
             local_now = local_now.max(self.cores[id].ready_at);
             let now = local_now;
-            let pc = self.cores[id].state.pc;
-            let line = pc & self.fetch_line_mask;
-            let fetch_cycles = if self.cores[id].last_fetch_line == line {
-                0
-            } else {
-                let (_, fetch_total) = self.mem.fetch(id, pc);
-                self.refill_line_buf(id, line);
-                fetch_total.saturating_sub(self.mem.latency().l1_hit)
-            };
+            let fetch_cycles = self.fetch_cycles(id, pc, false);
             let counters = CsrCounters {
                 cycle: now,
                 time: now,
@@ -974,7 +875,7 @@ impl Soc {
                 let mut port = SocDataPort::new(mem, id);
                 execute(
                     &mut core.state,
-                    inst,
+                    &inst,
                     &counters,
                     &self.costs,
                     &mut port,
@@ -989,26 +890,13 @@ impl Soc {
             };
             debug_assert!(exec.branch.is_none(), "control flow is never in-block");
             let core = &mut self.cores[id];
-            let stored_line = exec.mem.as_ref().and_then(|m| {
-                (!matches!(
-                    m.kind,
-                    crate::exec::MemAccessKind::Load | crate::exec::MemAccessKind::Lr
-                ))
-                .then_some(m.addr & self.fetch_line_mask)
-            });
-            let mem_is_load = exec.mem.as_ref().is_some_and(|m| {
-                matches!(
-                    m.kind,
-                    crate::exec::MemAccessKind::Load | crate::exec::MemAccessKind::Lr
-                )
-            });
             let cycles = core.model.retire(
                 &RetireInfo {
                     pc,
-                    inst,
+                    inst: &inst,
                     fetch_cycles,
                     extra_cycles: exec.extra_cycles,
-                    mem_is_load,
+                    mem_is_load: exec.mem.as_ref().is_some_and(is_load),
                     branch: None,
                     branch_hinted: false,
                 },
@@ -1023,30 +911,19 @@ impl Soc {
             core.ready_at = now + cycles;
             retired += 1;
             sink(exec.mem.as_ref());
-            if let Some(line) = stored_line {
-                for c in &mut self.cores {
-                    if c.last_fetch_line == line {
-                        c.last_fetch_line = u64::MAX;
-                    }
-                }
-                if self.line_in_text(line) {
-                    self.code_epoch += 1;
-                }
-            }
-            // A store into text stales this block's decoded run.
+            self.after_access(exec.mem.as_ref());
+            // A store into text (code patching) ends the block.
             if self.code_epoch != epoch0 {
                 break;
             }
         }
-        self.block_cache[slot] = Some(block);
         retired
     }
 
     /// Runs a single program on core 0 until it traps with an `ecall`,
     /// up to `max_instructions`. A convenience harness for tests and
     /// single-core experiments; returns the retire count. Straight-line
-    /// runs dispatch as superblocks (see [`Soc::set_superblocks`]);
-    /// timing is identical to pure stepping.
+    /// runs dispatch as superblocks; timing is identical to pure stepping.
     ///
     /// # Panics
     ///
@@ -1059,11 +936,9 @@ impl Soc {
         core.unpark();
         let mut retired = 0;
         while retired < max_instructions {
-            if self.superblocks {
-                retired += self.run_superblock(0, max_instructions - retired);
-                if retired >= max_instructions {
-                    break;
-                }
+            retired += self.run_superblock_logged(0, max_instructions - retired, |_| {});
+            if retired >= max_instructions {
+                break;
             }
             match self.step_core(0).kind {
                 StepKind::Retired(_) => retired += 1,
@@ -1081,11 +956,18 @@ impl Soc {
     }
 }
 
+/// Whether `access` only reads memory.
+fn is_load(access: &MemAccess) -> bool {
+    matches!(access.kind, MemAccessKind::Load | MemAccessKind::Lr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexstep_isa::asm::Assembler;
-    use flexstep_isa::inst::IntOp;
+    use crate::hart::ArchSnapshot;
+    use flexstep_isa::asm::{Assembler, DEFAULT_TEXT_BASE};
+    use flexstep_isa::encode::encode;
+    use flexstep_isa::inst::{IntImmOp, IntOp, StoreOp};
 
     fn sum_program(n: i64) -> Program {
         let mut asm = Assembler::new("sum");
@@ -1120,19 +1002,23 @@ mod tests {
 
     #[test]
     fn illegal_instruction_reports_trap() {
-        let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
-        soc.mem.phys_mut().write_u32(0x1000, 0xFFFF_FFFF);
-        let core = soc.core_mut(0);
-        core.state.pc = 0x1000;
-        core.unpark();
-        let r = soc.step_core(0);
-        assert!(matches!(
-            r.kind,
-            StepKind::Trap {
-                cause: TrapCause::IllegalInstruction,
-                ..
+        // Words written outside every loaded image are read and decoded
+        // per fetch: an undecodable one traps, a legal one retires.
+        let addi = addi_word(XReg::A0, XReg::ZERO, 5);
+        for word in [0xFFFF_FFFF, addi] {
+            let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
+            soc.mem.phys_mut().write_u32(0x1000, word);
+            let core = soc.core_mut(0);
+            core.state.pc = 0x1000;
+            core.unpark();
+            match soc.step_core(0).kind {
+                StepKind::Retired(_) => assert_eq!(soc.core(0).state.x(XReg::A0), 5),
+                StepKind::Trap { cause, tval, .. } => {
+                    assert_eq!((cause, tval), (TrapCause::IllegalInstruction, 0xFFFF_FFFF))
+                }
+                other => panic!("unexpected {other:?}"),
             }
-        ));
+        }
     }
 
     #[test]
@@ -1257,12 +1143,39 @@ mod tests {
         assert_eq!(d, 1, "dependent use directly after a load stalls one cycle");
     }
 
+    /// Runs `p` on a one-core SoC through `run_to_ecall` (superblocks)
+    /// and through a plain `step_core` loop, returning each run's retire
+    /// count, `now()`, `instret` and final state.
+    fn blocks_and_steps(p: &Program) -> [(u64, u64, u64, ArchSnapshot); 2] {
+        let finish = |soc: Soc, retired| {
+            let core = soc.core(0);
+            (retired, soc.now(), core.instret, core.state.snapshot())
+        };
+        let mut blocked = Soc::new(SocConfig::paper(1)).unwrap();
+        let retired = blocked.run_to_ecall(p, 1_000_000);
+        let blocked = finish(blocked, retired);
+
+        // `run_to_ecall` panics on any stop but the final `ecall`.
+        let mut stepped = replay_soc(p);
+        let mut retired = 0;
+        while let StepKind::Retired(_) = stepped.step_core(0).kind {
+            retired += 1;
+        }
+        [blocked, finish(stepped, retired)]
+    }
+
     #[test]
     fn superblocks_match_stepping_exactly() {
         // Straight-line ALU/load/store runs interleaved with branches; a
         // load-use interlock sits inside the block. Superblock dispatch
         // must be cycle- and state-exact against pure stepping.
         let mut asm = Assembler::new("blocks");
+        // A jump opening a cold line straight after a block: its fetch
+        // belongs to the step that runs it.
+        for _ in 0..16 {
+            asm.nop();
+        }
+        asm.j("start").label("start").unwrap();
         asm.li(XReg::SP, 0x2000);
         asm.li(XReg::A1, 500);
         asm.label("loop").unwrap();
@@ -1280,19 +1193,109 @@ mod tests {
         asm.addi(XReg::A1, XReg::A1, -1);
         asm.bnez(XReg::A1, "loop");
         asm.ecall();
-        let p = asm.finish().unwrap();
-        let run = |blocks: bool| {
-            let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
-            soc.set_superblocks(blocks);
-            let retired = soc.run_to_ecall(&p, 1_000_000);
-            (
-                retired,
-                soc.now(),
-                soc.core(0).instret,
-                soc.core(0).state.snapshot(),
-            )
-        };
-        assert_eq!(run(true), run(false));
+        let [blocked, stepped] = blocks_and_steps(&asm.finish().unwrap());
+        assert_eq!(blocked, stepped);
+    }
+
+    /// The word of `addi rd, rs1, imm`.
+    fn addi_word(rd: XReg, rs1: XReg, imm: i64) -> u32 {
+        encode(&Inst::OpImm {
+            op: IntImmOp::Addi,
+            rd,
+            rs1,
+            imm,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn self_modifying_code_runs_the_patched_words() {
+        // Three passes over `patched`: the first runs the old words (add
+        // 1), then a `sw` rewrites the first word and one `sd` the next
+        // two (add 16), and the later passes run the new ones.
+        let mut asm = Assembler::new("patch");
+        asm.li(XReg::A1, 3);
+        asm.li(XReg::A4, 3);
+        asm.la(XReg::T0, "patched");
+        asm.li(XReg::T1, addi_word(XReg::A0, XReg::A0, 16).into());
+        let pair = u64::from(addi_word(XReg::A2, XReg::A2, 16))
+            | u64::from(addi_word(XReg::A3, XReg::A3, 16)) << 32;
+        asm.li(XReg::T2, pair as i64);
+        asm.label("loop").unwrap();
+        asm.beq(XReg::A1, XReg::A4, "skip");
+        asm.store(StoreOp::Sw, XReg::T0, XReg::T1, 0);
+        asm.sd(XReg::T0, XReg::T2, 4);
+        asm.label("skip").unwrap();
+        // The `sd` needs its two words 8-byte aligned.
+        if asm.here().is_multiple_of(8) {
+            asm.nop();
+        }
+        asm.label("patched").unwrap();
+        asm.addi(XReg::A0, XReg::A0, 1);
+        asm.addi(XReg::A2, XReg::A2, 1);
+        asm.addi(XReg::A3, XReg::A3, 1);
+        asm.addi(XReg::A1, XReg::A1, -1);
+        asm.bnez(XReg::A1, "loop");
+        asm.ecall();
+        let [blocked, stepped] = blocks_and_steps(&asm.finish().unwrap());
+        assert_eq!(blocked, stepped);
+        let x = |r: XReg| blocked.3.xregs[usize::from(r.index())];
+        assert_eq!([x(XReg::A0), x(XReg::A2), x(XReg::A3)], [33; 3]);
+
+        // Core 1 rewrites the first word of the loop core 0 is running.
+        let mut asm = Assembler::new("looping");
+        asm.li(XReg::A1, 100);
+        asm.label("loop").unwrap();
+        asm.addi(XReg::A2, XReg::ZERO, 1);
+        asm.add(XReg::A3, XReg::A3, XReg::A2);
+        asm.addi(XReg::A1, XReg::A1, -1);
+        asm.bnez(XReg::A1, "loop");
+        asm.ecall();
+        let looping = asm.finish().unwrap();
+        let mut asm = Assembler::with_bases("patcher", 0x1100_0000, 0x2100_0000);
+        asm.li(XReg::T0, looping.symbol("loop").unwrap() as i64);
+        asm.li(XReg::T1, addi_word(XReg::A2, XReg::ZERO, 2).into());
+        asm.li(XReg::A1, 10);
+        asm.label("delay").unwrap();
+        asm.addi(XReg::A1, XReg::A1, -1);
+        asm.bnez(XReg::A1, "delay");
+        asm.store(StoreOp::Sw, XReg::T0, XReg::T1, 0);
+        asm.ecall();
+        let mut soc = Soc::new(SocConfig::paper(2)).unwrap();
+        for (id, p) in [(0, &looping), (1, &asm.finish().unwrap())] {
+            soc.load_program(p);
+            let core = soc.core_mut(id);
+            core.state.pc = p.entry;
+            core.state.prv = PrivMode::User;
+            core.unpark();
+        }
+        while let Some(id) = soc.next_ready() {
+            if let StepKind::Trap { cause, .. } = soc.step_core(id).kind {
+                assert_eq!(cause, TrapCause::EcallFromU);
+                soc.core_mut(id).park();
+            }
+        }
+        // Old passes add 1, new ones 2.
+        let (a2, a3) = (soc.core(0).state.x(XReg::A2), soc.core(0).state.x(XReg::A3));
+        assert_eq!(a2, 2, "the last pass ran the new word");
+        assert!(a3 > 100 && a3 < 200, "old passes, then new ones: {a3}");
+        assert_eq!(soc.code_epoch(), 3, "two loads and one store into text");
+    }
+
+    #[test]
+    fn a_shorter_program_reloaded_over_a_longer_one_runs_its_own_words() {
+        let long = sum_program(10);
+        let mut asm = Assembler::new("short");
+        asm.li(XReg::A0, 7);
+        asm.ecall();
+        let short = asm.finish().unwrap();
+        assert!(short.text_base == long.text_base && short.len() < long.len());
+        let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
+        soc.run_to_ecall(&long, 1000);
+        assert_eq!(soc.code_epoch(), 1);
+        assert_eq!(soc.run_to_ecall(&short, 1000), 1);
+        assert_eq!(soc.core(0).state.x(XReg::A0), 7);
+        assert_eq!(soc.code_epoch(), 2, "one bump per load");
     }
 
     #[test]
@@ -1310,19 +1313,13 @@ mod tests {
             "only the program load bumps the epoch; data stores do not"
         );
 
-        let mut asm = Assembler::new("text_store");
-        asm.li(XReg::A0, 0x3000);
-        asm.sd(XReg::A0, XReg::A1, 0);
-        asm.ecall();
-        let p2 = asm.finish().unwrap();
         // Aim the store into the loaded text image instead.
-        let mut asm = Assembler::new("text_store2");
-        asm.li(XReg::A0, p2.text_base as i64);
+        let mut asm = Assembler::new("text_store");
+        asm.li(XReg::A0, DEFAULT_TEXT_BASE as i64);
         asm.sd(XReg::A0, XReg::A1, 0);
         asm.ecall();
-        let p3 = asm.finish().unwrap();
         let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
-        soc.run_to_ecall(&p3, 100);
+        soc.run_to_ecall(&asm.finish().unwrap(), 100);
         assert_eq!(
             soc.code_epoch(),
             2,
