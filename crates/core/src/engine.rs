@@ -18,7 +18,7 @@
 
 use crate::checker::{CheckPhase, CheckerState, ReplayPort};
 use crate::detect::{DetectionEvent, MismatchKind, SegmentResult};
-use crate::fabric::{CoreAttr, Fabric, FabricConfig, FlexError};
+use crate::fabric::{CoreAttr, CoreUnit, Fabric, FabricConfig, FlexError};
 use crate::memo::{Playback, Recording};
 use crate::packet::{hash_snapshot, log_entries, Packet, PacketRef, HASH_SEED};
 use crate::rcpm::SegmentClose;
@@ -26,23 +26,8 @@ use flexstep_isa::inst::{FlexOp, InstClass};
 use flexstep_isa::XReg;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_sim::{
-    DataPort, PrivMode, ReplayControl, Retired, Soc, SocConfig, StepKind, StepResult,
+    DataPort, PrivMode, ReplayControl, Retired, Soc, SocConfig, StepKind, StepResult, BLOCK_INSTS,
 };
-
-/// Most instructions a main-core logged superblock may retire in one
-/// engine step. Blocks also end at the next branch/system instruction
-/// and one short of the segment limit, so this only caps straight-line
-/// runs; it matches the simulator's decoded-block capacity.
-const MAIN_BLOCK_INSTS: u64 = 32;
-
-/// Most memoized profile steps a checker playback may consume in one
-/// engine step (spill mode only — see [`FlexSoc::step_checker`]).
-const PLAYBACK_BLOCK: usize = 32;
-
-/// Most instructions a checker replay block may retire in one engine
-/// step. The cap only bounds one dispatch's host time, so dispatches stay
-/// comparable in cost; a segment simply takes several blocks.
-const REPLAY_BLOCK_INSTS: u64 = 32;
 
 /// Outcome of one engine step on a core.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,10 +35,12 @@ pub enum EngineStep {
     /// The core stepped; the underlying result (traps, `ecall`s, timer
     /// interrupts and custom instructions are the OS's to handle).
     Core(StepKind),
-    /// A main core retired a straight-line run of decoded µops as one
-    /// superblock, logging every access exactly as the equivalent
-    /// sequence of [`EngineStep::Core`] retirements would. Blocks never
-    /// open or close a segment and never cross a segment boundary.
+    /// A main core retired a block of up to [`BLOCK_INSTS`] user-mode
+    /// instructions, branches and jumps included, in one dispatch
+    /// ([`Soc::run_main_block`]), logging every access and forwarded
+    /// branch outcome exactly as the equivalent sequence of
+    /// [`EngineStep::Core`] retirements would. Blocks never open or
+    /// close a segment and never cross a segment boundary.
     MainBlock {
         /// Instructions retired in the block (≥ 1).
         retired: u64,
@@ -103,14 +90,14 @@ pub struct FlexSoc {
     pub soc: Soc,
     /// The FlexStep hardware state.
     pub fabric: Fabric,
-    /// Whether `step_main` may dispatch logged superblocks. Harnesses
-    /// turn this off while fault shots are armed so injection windows
-    /// stay cycle-precise (shots are polled between engine steps).
-    main_batching: bool,
+    /// No instruction of a main block is dispatched at or after this
+    /// cycle. The harness sets it before every step (see
+    /// `VerifiedRun::horizon`); the default `u64::MAX` leaves main
+    /// blocks unbounded for every other caller.
+    pub(crate) main_horizon: u64,
     /// No instruction of a checker replay block is dispatched at or
-    /// after this cycle. The harness sets it before every step to the
-    /// cycle of its next time-triggered event; the default 0 keeps replay
-    /// single-stepped for every other caller.
+    /// after this cycle. The harness sets it before every step; the
+    /// default 0 keeps replay single-stepped for every other caller.
     pub(crate) replay_horizon: u64,
 }
 
@@ -124,18 +111,19 @@ impl FlexSoc {
         Ok(FlexSoc {
             fabric: Fabric::new(soc.num_cores, fabric),
             soc: Soc::new(soc)?,
-            main_batching: true,
+            main_horizon: u64::MAX,
             replay_horizon: 0,
         })
     }
 
-    /// Enables or disables logged-superblock dispatch on main cores.
-    ///
-    /// With batching off every instruction takes its own engine step —
-    /// required while fault shots are pending, since shots fire between
-    /// engine steps and a block would blur the injection cycle.
-    pub fn set_main_batching(&mut self, on: bool) {
-        self.main_batching = on;
+    /// Whether the fabric runs in the regime blocks are exact in: DMA
+    /// spill on, so a checker starts a segment only once it is fully
+    /// buffered, and free DMA, so FIFO occupancy never feeds back into
+    /// the producer's timing. Main blocks log, checker replay blocks
+    /// replay and memo playback batches only here.
+    fn blocks_exact(&self) -> bool {
+        let cfg = self.fabric.config();
+        cfg.dma_spill && cfg.dma_cycles == 0
     }
 
     // ----- Tab. I custom-ISA operations ------------------------------------
@@ -287,101 +275,62 @@ impl FlexSoc {
     }
 
     /// Steps a main core, performing checkpoint extraction, logging and
-    /// backpressure.
+    /// backpressure. A user-mode main runs a block where it can, checked
+    /// (logging through the block's sink) or not.
     pub fn step_main(&mut self, core: usize) -> EngineStep {
         let live = self.fabric.checking_live(core);
+        let soc_core = self.soc.core(core);
+        let user = soc_core.state.prv == PrivMode::User && soc_core.is_running();
 
-        if live {
-            let soc_core = self.soc.core(core);
-            if soc_core.state.prv == PrivMode::User && soc_core.is_running() {
-                // One fabric borrow for the whole pre-step check: config
-                // scalars are copied out so the borrow can end before the
-                // stat/stall mutations.
-                let cfg = self.fabric.config();
-                let retry_cycles = cfg.backpressure_retry_cycles;
-                let scp_cycles = cfg.scp_extract_cycles;
-                let dma_cycles = cfg.dma_cycles;
-                let unit = self.fabric.unit(core);
-                // Worst-case needs for this step: two log entries, plus a
-                // close burst (IC + ECP) if a segment is or will be open,
-                // plus an SCP if we must open one.
-                let opening = !unit.tracker.is_open();
-                let need_cps = 1 + usize::from(opening);
-                let need_bytes = 32 + 8; // two entries + instruction count
-                if !unit.fifo.can_accept(need_bytes, need_cps) {
-                    self.fabric.stats.backpressure_stalls += 1;
-                    self.soc.stall_core(core, retry_cycles);
-                    return EngineStep::Backpressured;
-                }
-                if opening {
-                    let snap = self.soc.core(core).state.snapshot();
-                    let unit = self.fabric.unit_mut(core);
-                    let consumers = unit.fifo.consumers() as u64;
-                    let scp = unit.tracker.open_segment(snap);
-                    unit.fifo.push_scp(scp).expect("space reserved above");
-                    unit.cp_stall_cycles += scp_cycles * consumers;
-                    // The ASS forwards the checkpoint once per associated
-                    // checker (§III-A): wider verification modes serialise
-                    // more beats through the channel — the source of
-                    // Fig. 6's dual→triple slowdown increase.
-                    self.soc.stall_core(core, scp_cycles * consumers);
-                    // Stop here: executing the first instruction in the
-                    // same dispatch would drag the global clock past the
-                    // post-stall ready time while other cores may still
-                    // be runnable earlier. Keeping dispatches warp-free
-                    // means a checker's replay charges are a pure
-                    // function of its own stream — the property the
-                    // verdict memo's recorded profiles rely on.
-                    return EngineStep::SegmentOpened;
-                }
-                // Logged-superblock dispatch: retire a straight-line run
-                // of decoded µops in one engine step. The budget stops
-                // one instruction short of the segment limit so the
-                // close (IC + ECP burst) always happens on the per-step
-                // path below, and the byte reserve covers the worst case
-                // of two log entries per retire — every in-block push
-                // therefore has the space the per-step gate would have
-                // demanded. Requires dma_cycles == 0 (the paper datapath)
-                // so deferring the spill charge to the block boundary
-                // cannot shift timing.
-                if self.main_batching && dma_cycles == 0 {
-                    let unit = self.fabric.unit(core);
-                    let remaining = unit.tracker.limit().saturating_sub(unit.tracker.count());
-                    let budget = MAIN_BLOCK_INSTS.min(remaining.saturating_sub(1));
-                    if budget >= 2 && unit.fifo.can_accept(budget as usize * 32 + 8, 1) {
-                        // Split borrows: the sink writes the *fabric*
-                        // unit's FIFO and tracker while the block runs on
-                        // the *soc* — disjoint fields of `self`.
-                        let soc = &mut self.soc;
-                        let unit = self.fabric.unit_mut(core);
-                        let retired = soc.run_superblock_logged(core, budget, |mem| {
-                            if let Some(access) = mem {
-                                let (first, second) = log_entries(access);
-                                match second {
-                                    Some(second) => unit
-                                        .fifo
-                                        .push_burst_owned([Packet::Mem(first), Packet::Mem(second)])
-                                        .expect("space reserved"),
-                                    None => {
-                                        unit.fifo.push(Packet::Mem(first)).expect("space reserved")
-                                    }
-                                }
-                            }
-                            let at_limit = unit.tracker.on_user_retire();
-                            debug_assert!(!at_limit, "block budget keeps the segment open");
-                        });
-                        if retired > 0 {
-                            // Spill charges are zero here (dma_cycles is
-                            // 0 by the gate above); keep the accounting
-                            // cursor in sync for later per-step retires.
-                            let unit = self.fabric.unit_mut(core);
-                            let spilled = unit.fifo.spilled_packets();
-                            unit.spill_charged = unit.spill_charged.max(spilled);
-                            return EngineStep::MainBlock { retired };
-                        }
-                    }
-                }
+        let retired = if !user {
+            0
+        } else if live {
+            // One fabric borrow for the whole pre-step check: config
+            // scalars are copied out so the borrow can end before the
+            // stat/stall mutations.
+            let cfg = self.fabric.config();
+            let retry_cycles = cfg.backpressure_retry_cycles;
+            let scp_cycles = cfg.scp_extract_cycles;
+            let unit = self.fabric.unit(core);
+            // Worst-case needs for this step: two log entries, plus a
+            // close burst (IC + ECP) if a segment is or will be open,
+            // plus an SCP if we must open one.
+            let opening = !unit.tracker.is_open();
+            let need_cps = 1 + usize::from(opening);
+            let need_bytes = 32 + 8; // two entries + instruction count
+            if !unit.fifo.can_accept(need_bytes, need_cps) {
+                self.fabric.stats.backpressure_stalls += 1;
+                self.soc.stall_core(core, retry_cycles);
+                return EngineStep::Backpressured;
             }
+            if opening {
+                let snap = self.soc.core(core).state.snapshot();
+                let unit = self.fabric.unit_mut(core);
+                let consumers = unit.fifo.consumers() as u64;
+                let scp = unit.tracker.open_segment(snap);
+                unit.fifo.push_scp(scp).expect("space reserved above");
+                unit.cp_stall_cycles += scp_cycles * consumers;
+                // The ASS forwards the checkpoint once per associated
+                // checker (§III-A): wider verification modes serialise
+                // more beats through the channel — the source of
+                // Fig. 6's dual→triple slowdown increase.
+                self.soc.stall_core(core, scp_cycles * consumers);
+                // Stop here: executing the first instruction in the
+                // same dispatch would drag the global clock past the
+                // post-stall ready time while other cores may still
+                // be runnable earlier. Keeping dispatches warp-free
+                // means a checker's replay charges are a pure
+                // function of its own stream — the property the
+                // verdict memo's recorded profiles rely on.
+                return EngineStep::SegmentOpened;
+            }
+            self.logged_block(core)
+        } else {
+            self.soc
+                .run_main_block(core, BLOCK_INSTS, self.main_horizon, |_| {})
+        };
+        if retired > 0 {
+            return EngineStep::MainBlock { retired };
         }
 
         let result: StepResult = self.soc.step_core(core);
@@ -398,6 +347,41 @@ impl FlexSoc {
             _ => {}
         }
         EngineStep::Core(result.kind)
+    }
+
+    /// Runs a logged main block on `core`, whose segment is open, and
+    /// returns the instructions it retired (0 for none). The budget
+    /// stops one instruction short of the segment limit, so the close
+    /// (IC + ECP burst) always happens on the per-step path, and the
+    /// byte reserve covers two log entries (or one branch outcome) per
+    /// retire, so every in-block push has the space the per-step gate
+    /// would have demanded. Needs [`FlexSoc::blocks_exact`]: with free
+    /// DMA the spill charge the per-step path makes is zero.
+    fn logged_block(&mut self, core: usize) -> u64 {
+        if !self.blocks_exact() {
+            return 0;
+        }
+        let unit = self.fabric.unit(core);
+        let remaining = unit.tracker.limit().saturating_sub(unit.tracker.count());
+        let budget = BLOCK_INSTS.min(remaining.saturating_sub(1));
+        if budget < 2 || !unit.fifo.can_accept(budget as usize * 32 + 8, 1) {
+            return 0;
+        }
+        let forwards_branches = self.soc.core(core).model_kind().forwards_branch_outcomes();
+        // Split borrows: the sink writes the *fabric* unit's FIFO and
+        // tracker while the block runs on the *soc* — disjoint fields.
+        let unit = self.fabric.unit_mut(core);
+        let retired = self
+            .soc
+            .run_main_block(core, budget, self.main_horizon, |retired| {
+                let at_limit = log_retire(unit, retired, forwards_branches);
+                debug_assert!(!at_limit, "block budget keeps the segment open");
+            });
+        // Keep the spill-accounting cursor in step for later per-step
+        // retires; the charge itself is zero.
+        let unit = self.fabric.unit_mut(core);
+        unit.spill_charged = unit.spill_charged.max(unit.fifo.spilled_packets());
+        retired
     }
 
     /// Closes the open segment on `core`, pushing the `InstCount` + ECP
@@ -423,29 +407,7 @@ impl FlexSoc {
             // after M.check); the segment opens on the next step.
             return;
         }
-        if let Some(access) = &retired.mem {
-            let (first, second) = log_entries(access);
-            match second {
-                // Multi-µop instructions push both entries as one burst.
-                Some(second) => unit
-                    .fifo
-                    .push_burst_owned([Packet::Mem(first), Packet::Mem(second)])
-                    .expect("space reserved"),
-                None => unit.fifo.push(Packet::Mem(first)).expect("space reserved"),
-            }
-        }
-        // OoO mains forward each retired branch's resolved target so
-        // in-order checkers can skip prediction and catch control-flow
-        // divergence at the branch itself (MEEK-style outcome
-        // forwarding). Branches carry no memory access, so the 8-byte
-        // packet fits well inside the two-entry reserve above.
-        if forwards_branches && retired.branch.is_some() {
-            unit.fifo
-                .push(Packet::Branch(retired.next_pc))
-                .expect("space reserved");
-        }
-        let at_limit = unit.tracker.on_user_retire();
-        if at_limit {
+        if log_retire(unit, retired, forwards_branches) {
             self.close_segment(core, SegmentClose::CountLimit);
         }
         // Charge DMA cost for packets that spilled past the SRAM.
@@ -482,12 +444,9 @@ impl FlexSoc {
                 return self.playback_step(core, main, consumer, seq, tag);
             }
         }
+        let blocks = self.blocks_exact();
         let cfg = self.fabric.config();
         let dma_spill = cfg.dma_spill;
-        // Replay blocks need the regime playback batching relies on: the
-        // segment is fully buffered before replay starts, and FIFO
-        // occupancy never feeds back into the producer.
-        let blocks = dma_spill && cfg.dma_cycles == 0;
         let wait_cycles = cfg.checker_wait_cycles;
         let scp_apply_cycles = cfg.scp_apply_cycles;
         let ecp_compare_cycles = cfg.ecp_compare_cycles;
@@ -791,13 +750,9 @@ impl FlexSoc {
         // — in report and in timing — from draining them one step at a
         // time. Outside that regime occupancy feeds back into producer
         // backpressure and spill charges, so playback stays per-step.
-        let cfg = self.fabric.config();
-        let max_batch = if cfg.dma_spill && cfg.dma_cycles == 0 {
-            PLAYBACK_BLOCK
-        } else {
-            1
-        };
-        let mut buf = [(0u64, 0u64); PLAYBACK_BLOCK];
+        const BATCH: usize = BLOCK_INSTS as usize;
+        let max_batch = if self.blocks_exact() { BATCH } else { 1 };
+        let mut buf = [(0u64, 0u64); BATCH];
         let mut n = 0;
         {
             let pb = self
@@ -910,7 +865,7 @@ impl FlexSoc {
         let mut block = ReplayBlock {
             port: ReplayPort::new(&self.fabric.unit(main).fifo, consumer),
             committed: 0,
-            budget: REPLAY_BLOCK_INSTS,
+            budget: BLOCK_INSTS,
             count,
             ic,
             recording,
@@ -1122,6 +1077,34 @@ impl ReplayControl for ReplayBlock<'_> {
             }
         }
     }
+}
+
+/// Logs one retired user-mode instruction of a main into its `unit`:
+/// the access's log entries and, for an OoO main, the branch outcome.
+/// Returns whether the segment reached its instruction limit.
+fn log_retire(unit: &mut CoreUnit, retired: &Retired, forwards_branches: bool) -> bool {
+    if let Some(access) = &retired.mem {
+        let (first, second) = log_entries(access);
+        match second {
+            // Multi-µop instructions push both entries as one burst.
+            Some(second) => unit
+                .fifo
+                .push_burst_owned([Packet::Mem(first), Packet::Mem(second)])
+                .expect("space reserved"),
+            None => unit.fifo.push(Packet::Mem(first)).expect("space reserved"),
+        }
+    }
+    // OoO mains forward each retired branch's resolved target so in-order
+    // checkers can skip prediction and catch control-flow divergence at
+    // the branch itself (MEEK-style outcome forwarding). Branches carry
+    // no memory access, so the 8-byte packet fits well inside the
+    // two-entry reserve.
+    if forwards_branches && retired.branch.is_some() {
+        unit.fifo
+            .push(Packet::Branch(retired.next_pc))
+            .expect("space reserved");
+    }
+    unit.tracker.on_user_retire()
 }
 
 fn bits_to_cores(mask: u64) -> Vec<usize> {

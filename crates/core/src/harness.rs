@@ -153,10 +153,9 @@ pub struct RunReport {
     pub backpressure_stalls: u64,
     /// Engine steps executed over the run's lifetime (throughput
     /// accounting for the perf harness), weighted by block size: a main
-    /// superblock or checker replay block counts one step per
-    /// instruction, so this exceeds the number of
-    /// [`VerifiedRun::step_once`] dispatches that
-    /// [`VerifiedRun::run_to_completion`]'s bound counts.
+    /// block or checker replay block counts one step per instruction, so
+    /// this exceeds the number of [`VerifiedRun::step_once`] dispatches
+    /// that [`VerifiedRun::run_to_completion`]'s bound counts.
     pub engine_steps: u64,
     /// Per-main outcomes, in channel order.
     pub per_main: Vec<MainReport>,
@@ -434,10 +433,10 @@ pub struct VerifiedRun {
     pairing: Option<PairingRuntime>,
     /// Per-slot checked/unchecked cycle accumulators.
     coverage: Vec<Coverage>,
-    /// Replays one instruction per dispatch: the reference replay
-    /// blocks are tested against.
+    /// Single-steps mains and replay alike: the reference blocks are
+    /// tested against.
     #[cfg(test)]
-    single_step_replay: bool,
+    single_step: bool,
 }
 
 /// Runtime state of a [`PairingSchedule`] being executed against the
@@ -753,7 +752,7 @@ impl VerifiedRun {
             pairing,
             coverage,
             #[cfg(test)]
-            single_step_replay: false,
+            single_step: false,
         };
         run.sync_fault_memo_blocks();
         // The build-time grants above happen before the first step;
@@ -824,10 +823,10 @@ impl VerifiedRun {
     /// Mutable fabric access (custom fault injection, reconfiguration
     /// experiments).
     ///
-    /// Between [`VerifiedRun::step_once`] calls a checker may have
-    /// replayed, in blocks, up to 32 instructions past [`VerifiedRun::now`]
-    /// — as main superblocks run ahead — so an injection made here meets
-    /// the stream as those blocks left it (DESIGN.md §18). For
+    /// Between [`VerifiedRun::step_once`] calls a main or a checker may
+    /// have run a block of up to [`BLOCK_INSTS`](flexstep_sim::BLOCK_INSTS)
+    /// instructions past [`VerifiedRun::now`], so an injection made here
+    /// meets the stream as those blocks left it (DESIGN.md §18). For
     /// cycle-precise injection use a [`FaultPlan`]: its shots bound every
     /// block.
     pub fn fabric_mut(&mut self) -> &mut Fabric {
@@ -961,10 +960,6 @@ impl VerifiedRun {
                 }
             }
         }
-        // Shots fire between engine steps, so superblock batching would
-        // blur the injection cycle: single-step while any shot is armed
-        // or in flight, and resume batching once the plan has played out.
-        self.fs.set_main_batching(!self.faults.pending());
     }
 
     /// Whether a checker *core* has been killed by a fault shot.
@@ -1492,30 +1487,65 @@ impl VerifiedRun {
         (0..fifo.consumers()).any(|c| fifo.complete_segments_ahead(c) >= 1)
     }
 
-    /// How far a replay block dispatched on `core` may run: to the cycle
-    /// of the next unfired fault shot or pairing event, the only hooks
-    /// `step_once` fires by time. Its other hooks react to state a block
-    /// never changes mid-segment (DESIGN.md §18) — except that, under
-    /// rollback, a sibling consumer's detection rolls the stream back
-    /// under a running block: such channels replay single-stepped.
-    fn replay_horizon(&self, core: usize) -> u64 {
+    /// How far a block dispatched on `core` may run: no instruction of it
+    /// is dispatched at or after this cycle (DESIGN.md §18). For mains
+    /// and checkers alike that is the cycle of the next unfired fault
+    /// shot or pairing event, the only hooks `step_once` fires by time;
+    /// its other hooks react to state a block never changes. Under
+    /// rollback a checker's verdict can also roll a main back: a main's
+    /// block stops at the ready cycle of every checker that could give
+    /// one (`rollback_horizon`), and a channel with sibling consumers
+    /// replays single-stepped, since either sibling's detection rolls the
+    /// stream back under the other.
+    fn horizon(&self, core: usize) -> u64 {
         #[cfg(test)]
-        if self.single_step_replay {
+        if self.single_step {
             return 0;
-        }
-        if self.recovery.is_some() {
-            if let Some((main, _)) = self.fs.fabric.channel_of(core) {
-                if self.fs.fabric.unit(main).fifo.consumers() > 1 {
-                    return 0;
-                }
-            }
         }
         let pairing = self
             .pairing
             .as_ref()
             .and_then(|p| p.events.get(p.next))
             .map_or(u64::MAX, |e| e.at_cycle);
-        self.faults.next_cycle().min(pairing)
+        let timed = self.faults.next_cycle().min(pairing);
+        if self.recovery.is_none() {
+            return timed;
+        }
+        if let Some(slot) = self.slot_of[core] {
+            return timed.min(self.rollback_horizon(slot));
+        }
+        match self.fs.fabric.channel_of(core) {
+            Some((main, _)) if self.fs.fabric.unit(main).fifo.consumers() > 1 => 0,
+            _ => timed,
+        }
+    }
+
+    /// The earliest ready cycle of a running checker that could roll the
+    /// main of `slot` back: one on its channel that is mid-segment or has
+    /// a complete segment ahead, or its pool's checker while the main has
+    /// a complete segment buffered for a grant. Those are the only
+    /// dispatches that can; a main block never completes a segment.
+    fn rollback_horizon(&self, slot: usize) -> u64 {
+        let main = self.mains[slot];
+        let fabric = &self.fs.fabric;
+        let fifo = &fabric.unit(main).fifo;
+        let pool = self.arbiter_of[slot].map(|a| self.arbiters[a].checker());
+        fabric
+            .checkers_of(main)
+            .iter()
+            .copied()
+            .chain(pool)
+            .filter(|&c| self.fs.soc.core(c).is_running())
+            .filter(|&c| match fabric.channel_of(c) {
+                Some((m, consumer)) if m == main => {
+                    fabric.unit(c).checker.phase != CheckPhase::WaitScp
+                        || fifo.complete_segments_ahead(consumer) > 0
+                }
+                _ => (0..fifo.consumers()).any(|i| fifo.complete_segments_ahead(i) > 0),
+            })
+            .map(|c| self.fs.soc.core(c).ready_at)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Executes one scheduling quantum: polls arbiters, fires due fault
@@ -1600,9 +1630,11 @@ impl VerifiedRun {
         } else {
             self.slot_of[core].map(|_| self.fs.fabric.unit(core).tracker.open_seq())
         };
-        self.fs.replay_horizon = self.replay_horizon(core);
+        let horizon = self.horizon(core);
+        self.fs.main_horizon = horizon;
+        self.fs.replay_horizon = horizon;
         let step = self.fs.step(core);
-        // A logged superblock or a replay block retires many
+        // A main block or a replay block retires many
         // instructions in one engine step: weight it so `engine_steps`
         // stays an instruction-granular progress measure, comparable
         // across batching modes.
@@ -1748,8 +1780,8 @@ impl VerifiedRun {
     /// Runs until the cycle counter passes `cycle` or the run completes.
     /// Returns `true` while the run is still live.
     ///
-    /// The last dispatch may leave a main superblock or a checker replay
-    /// block ahead of `cycle`; a fault meant to land at an exact cycle
+    /// The last dispatch may leave a main block or a checker replay block
+    /// ahead of `cycle`; a fault meant to land at an exact cycle
     /// belongs in a [`FaultPlan`], not in [`VerifiedRun::fabric_mut`]
     /// between calls.
     pub fn run_until_cycle(&mut self, cycle: u64) -> bool {
@@ -1763,7 +1795,7 @@ impl VerifiedRun {
 
     /// Runs to completion (programs ended + checkers drained), bounded
     /// by `max_steps` calls of [`VerifiedRun::step_once`]. Each call is
-    /// one dispatch, which may retire a whole main superblock or checker
+    /// one dispatch, which may retire a whole main block or checker
     /// replay block, so the bound is not [`RunReport::engine_steps`]:
     /// that counts every instruction of a block.
     pub fn run_to_completion(&mut self, max_steps: u64) -> RunReport {
@@ -1994,7 +2026,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_blocks_match_single_step_replay_bit_for_bit() {
+    fn blocks_match_single_stepping_bit_for_bit() {
         let fabric = FabricConfig {
             segment_limit: 600,
             ..FabricConfig::paper()
@@ -2006,6 +2038,28 @@ mod tests {
                 .then_random_at(9_000 + 700 * seed)
         };
         let rollback = RecoveryPolicy::Rollback { max_retries: 3 };
+        // Twelve mains in private windows 1 MiB apart, so every line of
+        // theirs falls in one 8-way L2 set and warm-up evicts dirty
+        // lines: the order mains reach the L2 shows in their timing.
+        let twelve_mains = move |shots: Option<u64>| {
+            let mut sc = Scenario::new(&store_loop_in_window(300, 0))
+                .cores(16)
+                .topology(Topology::SharedChecker { checkers: 4 })
+                .fabric(fabric);
+            for slot in 1..12 {
+                sc = sc.program(&store_loop_in_window(300, slot));
+            }
+            if let Some(seed) = shots {
+                let mut plan = FaultPlan::none().with_seed(seed);
+                for channel in 0..12 {
+                    plan = plan
+                        .then_random_at(1_000 + 150 * channel as u64 + 50 * seed)
+                        .on_channel(channel);
+                }
+                sc = sc.fault_plan(plan);
+            }
+            sc
+        };
         type Shape = Box<dyn Fn(u64) -> Scenario>;
         let shapes: Vec<(&str, Shape)> = vec![
             (
@@ -2051,6 +2105,15 @@ mod tests {
                 }),
             ),
             (
+                "ooo rollback",
+                Box::new(move |seed| {
+                    dual_scenario(fabric, 1_500)
+                        .main_core_model(flexstep_sim::CoreModelKind::ooo())
+                        .fault_plan(shots(seed))
+                        .recovery(rollback)
+                }),
+            ),
+            (
                 "shared pool, pairing window",
                 Box::new(move |seed| {
                     let mut sc = Scenario::new(&store_loop_in_window(900, 0))
@@ -2074,12 +2137,17 @@ mod tests {
                     sc
                 }),
             ),
+            ("twelve mains", Box::new(move |_| twelve_mains(None))),
+            (
+                "twelve mains, a shot each",
+                Box::new(move |seed| twelve_mains(Some(seed))),
+            ),
         ];
         for (name, build) in &shapes {
             for seed in 1..=3 {
                 let run = |single_step: bool| {
                     let mut run = build(seed).build().unwrap();
-                    run.single_step_replay = single_step;
+                    run.single_step = single_step;
                     let mut dispatches = 0u64;
                     while run.step_once() {
                         dispatches += 1;
@@ -2091,18 +2159,11 @@ mod tests {
                 let (steps, step_stats, step_dispatches) = run(true);
                 assert_eq!(blocks, steps, "{name} seed {seed}: report");
                 assert_eq!(block_stats, step_stats, "{name} seed {seed}: fabric stats");
-                if *name == "triple rollback" {
-                    assert_eq!(
-                        block_dispatches, step_dispatches,
-                        "{name} seed {seed}: sibling consumers single-step under rollback"
-                    );
-                } else {
-                    assert!(
-                        block_dispatches < step_dispatches,
-                        "{name} seed {seed}: blocks must replace dispatches \
-                         ({block_dispatches} vs {step_dispatches})"
-                    );
-                }
+                assert!(
+                    block_dispatches < step_dispatches,
+                    "{name} seed {seed}: blocks must replace dispatches \
+                     ({block_dispatches} vs {step_dispatches})"
+                );
             }
         }
     }

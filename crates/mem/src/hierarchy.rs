@@ -345,6 +345,25 @@ impl MemorySystem {
         cycles
     }
 
+    /// Whether a `kind` access by `core` to `addr` would hit in the core's
+    /// own L1 and act on no other core's copy: the line is resident for a
+    /// fetch or read, Modified for a write. Under MSI a core holding a
+    /// line rules out a remote Modified copy, and a Modified line rules
+    /// out any remote copy, so such an access snoops nobody. Touches no
+    /// LRU state or statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn stays_in_l1(&self, core: usize, addr: u64, kind: AccessKind) -> bool {
+        let caches = &self.cores[core];
+        match kind {
+            AccessKind::Fetch => caches.l1i.probe(addr) != LineState::Invalid,
+            AccessKind::Read => caches.l1d.probe(addr) != LineState::Invalid,
+            AccessKind::Write => caches.l1d.probe(addr) == LineState::Modified,
+        }
+    }
+
     /// Fetches a 32-bit instruction word. Returns `(word, cycles)`.
     pub fn fetch(&mut self, core: usize, addr: u64) -> (u32, u64) {
         let cycles = self.timed_path(core, addr, AccessKind::Fetch);
@@ -481,6 +500,44 @@ mod tests {
         let lat = LatencyConfig::paper();
         let (_, t) = m.read(0, 0x8000, 8);
         assert_eq!(t, lat.l1_hit + lat.l2_hit + lat.dram);
+    }
+
+    #[test]
+    fn l1_probe_answers_without_touching_state() {
+        let mut m = sys(2);
+        let (line, other) = (0xc000, 0xd040);
+        m.fetch(0, line);
+        m.read(0, line, 8);
+        m.write(0, other, 1, 8);
+        // Invalid (core 1 holds nothing), Shared (`line`), Modified
+        // (`other`), under a fetch, a read and a write.
+        let cases = [
+            (1, line, [false, false, false]),
+            (0, line, [true, true, false]),
+            (0, other, [false, true, true]),
+        ];
+        let stats = |m: &MemorySystem| {
+            (0..2)
+                .map(|c| (*m.l1i_stats(c), *m.l1d_stats(c)))
+                .collect::<Vec<_>>()
+        };
+        let before = (stats(&m), *m.l2_stats(), m.snoop_count());
+        for (core, addr, expected) in cases {
+            let kinds = [AccessKind::Fetch, AccessKind::Read, AccessKind::Write];
+            let got = kinds.map(|kind| m.stays_in_l1(core, addr, kind));
+            assert_eq!(got, expected, "core {core} addr {addr:#x}");
+        }
+        assert_eq!((stats(&m), *m.l2_stats(), m.snoop_count()), before);
+        // Nor LRU order: the victim is the one the accesses alone pick.
+        // Four more lines in `line`'s L1D set evict it, the probes
+        // notwithstanding.
+        let set_stride = 16 * 1024 / 4;
+        for way in 1..=4 {
+            m.read(0, line + way * set_stride, 8);
+            assert!(m.stays_in_l1(0, line + way * set_stride, AccessKind::Read));
+            let _ = m.stays_in_l1(0, line, AccessKind::Read);
+        }
+        assert!(!m.stays_in_l1(0, line, AccessKind::Read), "LRU victim");
     }
 
     #[test]

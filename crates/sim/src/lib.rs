@@ -58,5 +58,5 @@ pub use model::{
     ScalarExecutor,
 };
 pub use port::{amo_apply, DataPort, PortStop, ReplayControl, SocDataPort};
-pub use soc::{Retired, SchedMode, Soc, SocConfig, StepKind, StepResult};
+pub use soc::{Retired, SchedMode, Soc, SocConfig, StepKind, StepResult, BLOCK_INSTS};
 pub use timing::{Clock, ExecCosts};

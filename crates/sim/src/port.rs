@@ -8,14 +8,15 @@
 //! segments" (§II) — same executor, different port.
 
 use flexstep_isa::inst::{AmoOp, AmoWidth};
-use flexstep_mem::MemorySystem;
+use flexstep_mem::{AccessKind, MemorySystem};
 use std::fmt;
 
 /// Raised by a port to abort the current instruction.
 ///
-/// The normal port never raises it; replay ports raise it when the
-/// replayed access diverges from the log (a detection event) or when the
-/// log underruns. The typed detail lives in the port; this carries a
+/// The normal port raises it only for a main block, whose later
+/// instructions must stay in their core's L1; replay ports raise it when
+/// the replayed access diverges from the log (a detection event) or when
+/// the log underruns. The typed detail lives in the port; this carries a
 /// human-readable reason for traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortStop {
@@ -47,7 +48,7 @@ impl std::error::Error for PortStop {}
 /// # Errors
 ///
 /// Implementations return [`PortStop`] to abort the instruction; the
-/// normal memory port is infallible in practice.
+/// normal memory port aborts only the L1-only accesses of a main block.
 pub trait DataPort {
     /// Data read of `size` bytes; the value is the raw zero-extended
     /// memory content (the executor applies sign extension).
@@ -166,12 +167,33 @@ fn amo_apply32(op: AmoOp, old: u32, src: u32) -> u32 {
 pub struct SocDataPort<'a> {
     mem: &'a mut MemorySystem,
     core: usize,
+    /// Abort, untouched, any access that would leave the core's own L1
+    /// or act on another core's copy (a main block's later instructions).
+    l1_only: bool,
 }
 
 impl<'a> SocDataPort<'a> {
     /// Binds the port to `core`'s path through the memory system.
     pub fn new(mem: &'a mut MemorySystem, core: usize) -> Self {
-        SocDataPort { mem, core }
+        SocDataPort {
+            mem,
+            core,
+            l1_only: false,
+        }
+    }
+
+    /// Like [`SocDataPort::new`], but with `l1_only` set an access that
+    /// would not [stay in the core's L1](MemorySystem::stays_in_l1)
+    /// aborts before touching anything.
+    pub(crate) fn with_l1_only(mem: &'a mut MemorySystem, core: usize, l1_only: bool) -> Self {
+        SocDataPort { mem, core, l1_only }
+    }
+
+    fn admit(&self, addr: u64, kind: AccessKind) -> Result<(), PortStop> {
+        if self.l1_only && !self.mem.stays_in_l1(self.core, addr, kind) {
+            return Err(PortStop::new(String::new()));
+        }
+        Ok(())
     }
 
     fn penalty(&self, total: u64) -> u64 {
@@ -181,11 +203,13 @@ impl<'a> SocDataPort<'a> {
 
 impl DataPort for SocDataPort<'_> {
     fn read(&mut self, addr: u64, size: u8) -> Result<(u64, u64), PortStop> {
+        self.admit(addr, AccessKind::Read)?;
         let (value, cycles) = self.mem.read(self.core, addr, size);
         Ok((value, self.penalty(cycles)))
     }
 
     fn write(&mut self, addr: u64, value: u64, size: u8) -> Result<u64, PortStop> {
+        self.admit(addr, AccessKind::Write)?;
         let cycles = self.mem.write(self.core, addr, value, size);
         Ok(self.penalty(cycles))
     }
@@ -198,10 +222,12 @@ impl DataPort for SocDataPort<'_> {
         resv_valid: bool,
     ) -> Result<(bool, u64), PortStop> {
         if resv_valid {
+            self.admit(addr, AccessKind::Write)?;
             let cycles = self.mem.write(self.core, addr, value, size);
             Ok((true, self.penalty(cycles)))
         } else {
             // Failed SC still probes the cache; charge a read-shaped trip.
+            self.admit(addr, AccessKind::Read)?;
             let (_, cycles) = self.mem.read(self.core, addr, size);
             Ok((false, self.penalty(cycles)))
         }
@@ -214,6 +240,7 @@ impl DataPort for SocDataPort<'_> {
         op: AmoOp,
         src: u64,
     ) -> Result<(u64, u64), PortStop> {
+        self.admit(addr, AccessKind::Write)?;
         let (old, cycles) = self.mem.amo(self.core, addr, width.size(), |old| {
             amo_apply(op, width, old, src)
         });

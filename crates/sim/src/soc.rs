@@ -24,7 +24,7 @@ use flexstep_isa::decode::decode;
 use flexstep_isa::inst::{FlexOp, Inst, InstClass};
 use flexstep_isa::XReg;
 use flexstep_mem::cache::CacheGeometryError;
-use flexstep_mem::{MemoryConfig, MemorySystem};
+use flexstep_mem::{AccessKind, MemoryConfig, MemorySystem};
 use flexstep_soc::CoreModelKind;
 
 /// SoC configuration.
@@ -129,11 +129,12 @@ pub struct StepResult {
     pub now: u64,
 }
 
-/// Longest superblock: a straight-line run of decoded µops (no control
-/// flow, atomics or system instructions) that [`Soc::run_to_ecall`] and
-/// the FlexStep engine execute without re-entering the step loop between
-/// them; per-instruction timing is identical to stepping.
-const BLOCK_MAX: u64 = 32;
+/// Most instructions one dispatch retires as a block: a main block
+/// ([`Soc::run_main_block`]), a checker replay block
+/// ([`Soc::run_replay_block`]) or a batch of memoized replay steps. The
+/// cap only bounds one dispatch's host time, so dispatches stay
+/// comparable in cost; longer runs simply take several blocks.
+pub const BLOCK_INSTS: u64 = 32;
 
 /// A loaded program's text, decoded once: `insts[i]` is the instruction
 /// at `base + 4 * i`, `None` where the word does not decode.
@@ -672,7 +673,7 @@ impl Soc {
     /// execute and retire body. Each instruction's timing and
     /// architectural effect are those of its own single step; the global
     /// clock is pulled up once, at dispatch, like
-    /// [`Soc::run_superblock_logged`].
+    /// [`Soc::run_main_block`].
     ///
     /// The block ends before an instruction that
     /// - `control` does not [admit](ReplayControl::admit);
@@ -806,90 +807,95 @@ impl Soc {
         self.ready.mark_dirty(id);
     }
 
-    /// Whether `inst` may be folded into a superblock: straight-line,
-    /// non-atomic, non-system work whose timing has no control-flow
-    /// component and whose semantics read no live counters.
-    fn block_eligible(inst: &Inst) -> bool {
-        matches!(
-            inst.class(),
-            InstClass::Alu | InstClass::MulDiv | InstClass::Load | InstClass::Store | InstClass::Fp
-        )
-    }
-
-    /// Executes the superblock at `id`'s pc, if any, without re-entering
-    /// the step loop between its instructions, and returns the retire
-    /// count. After each committed instruction `sink` receives the
-    /// retiring memory access (if any), letting a platform log the
-    /// block's accesses exactly as it would log individual
-    /// [`StepKind::Retired`] steps. Per-instruction timing — fetch path,
-    /// hazard interlock, functional-unit costs — is identical to
-    /// [`Soc::step_core`].
+    /// Runs consecutive instructions of core `id` through the normal
+    /// memory port in one dispatch, on the core's local timeline, and
+    /// returns the number retired — the block form of [`Soc::step_core`].
+    /// Each instruction's fetch path, execution, hazard interlock,
+    /// functional-unit costs and branch-predictor charge are those of its
+    /// own single step; the global clock is pulled up once, at dispatch,
+    /// like [`Soc::run_replay_block`]. After each retirement `sink` hears
+    /// of it, so a platform can log the block's accesses and branch
+    /// outcomes exactly as it would log individual
+    /// [`StepKind::Retired`] steps.
     ///
-    /// The block walks the decoded text from the core's pc and ends
-    /// before an instruction that is not block-eligible or traps (a trap
-    /// commits nothing and leaves the instruction for the step loop to
-    /// classify), after 32 instructions or `budget`, and after a store
-    /// into text. Returns 0 (and runs nothing) when the core is parked or
-    /// a timer is armed — callers fall back to single-stepping.
-    pub fn run_superblock_logged<F>(&mut self, id: usize, budget: u64, mut sink: F) -> u64
+    /// The block crosses branches and jumps. It ends after `budget` or
+    /// [`BLOCK_INSTS`] instructions and after a store into text, and
+    /// before an instruction that
+    /// - would be dispatched at or after `horizon`;
+    /// - does not decode, or is a system, FlexStep or atomic instruction;
+    /// - traps;
+    /// - is not the block's first, and would fetch or access data outside
+    ///   the core's own L1 or act on another core's copy
+    ///   ([`MemorySystem::stays_in_l1`]).
+    ///
+    /// The first instruction runs at the dispatch cycle, where a single
+    /// step would. The rest run ahead of other cores' steps at earlier
+    /// cycles, so they touch only state no other core reads — given that
+    /// no core touches a line another core holds, or writes text another
+    /// core fetches, within the block's window (DESIGN.md §18).
+    ///
+    /// Returns 0 (and runs nothing) when the core is not running, has a
+    /// timer armed or pending, or its first instruction cannot run in a
+    /// block — the caller then steps that instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn run_main_block<F>(&mut self, id: usize, budget: u64, horizon: u64, mut sink: F) -> u64
     where
-        F: FnMut(Option<&MemAccess>),
+        F: FnMut(&Retired),
     {
         let core = &self.cores[id];
         if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
             return 0;
         }
         self.ready.mark_dirty(id);
+        self.now = self.now.max(core.ready_at);
         let prv = self.cores[id].state.prv;
         let epoch0 = self.code_epoch;
-        let mut retired = 0u64;
-        // The block advances this core's *local* timeline; the global
-        // clock is pulled up once, at dispatch (exactly what the first
-        // single step would do). Dispatch order is earliest-ready, so
-        // dragging `self.now` through the whole block would warp
-        // earlier-ready cores' timelines forward past their own ready
-        // times and make engine-step interleaving observable.
-        self.now = self.now.max(self.cores[id].ready_at);
-        let mut local_now = self.now;
-        while retired < budget.min(BLOCK_MAX) {
-            // The instruction's eligibility is settled before its fetch
-            // is charged, so the step loop charges an ineligible one.
+        let mut at = self.now;
+        let mut retired = 0;
+        while retired < budget.min(BLOCK_INSTS) && at < horizon {
+            // The instruction's admission is settled before its fetch is
+            // charged, so the step loop charges a refused one.
             let pc = self.cores[id].state.pc;
-            let Some(inst) = self.inst_at(id, pc).filter(Self::block_eligible) else {
+            let Some(inst) = self.inst_at(id, pc) else {
                 break;
             };
-            // Clock advance, fetch, execute, timing: the step_impl
-            // sequence minus dispatch (no timer is armed — guarded
-            // above — so the latch step_impl performs is a no-op here).
-            local_now = local_now.max(self.cores[id].ready_at);
-            let now = local_now;
+            if matches!(
+                inst.class(),
+                InstClass::System | InstClass::Flex | InstClass::Atomic
+            ) {
+                break;
+            }
+            let l1_only = retired > 0;
+            if l1_only
+                && self.cores[id].last_fetch_line != pc & self.fetch_line_mask
+                && !self.mem.stays_in_l1(id, pc, AccessKind::Fetch)
+            {
+                break;
+            }
             let fetch_cycles = self.fetch_cycles(id, pc, false);
             let counters = CsrCounters {
-                cycle: now,
-                time: now,
+                cycle: at,
+                time: at,
                 instret: self.cores[id].instret,
             };
-            let outcome = {
-                let mem = &mut self.mem;
-                let core = &mut self.cores[id];
-                let mut port = SocDataPort::new(mem, id);
-                execute(
-                    &mut core.state,
-                    &inst,
-                    &counters,
-                    &self.costs,
-                    &mut port,
-                    &mut core.resv,
-                )
-            };
-            let exec = match outcome {
-                Ok(e) => e,
-                // State is unmodified on a stop; the step loop
-                // re-executes and classifies the instruction.
-                Err(_) => break,
-            };
-            debug_assert!(exec.branch.is_none(), "control flow is never in-block");
             let core = &mut self.cores[id];
+            let mut port = SocDataPort::with_l1_only(&mut self.mem, id, l1_only);
+            // A stop leaves the state untouched. The fetch it charged
+            // stays charged: the single step finds the line fetched and
+            // does not charge it again.
+            let Ok(exec) = execute(
+                &mut core.state,
+                &inst,
+                &counters,
+                &self.costs,
+                &mut port,
+                &mut core.resv,
+            ) else {
+                break;
+            };
             let cycles = core.model.retire(
                 &RetireInfo {
                     pc,
@@ -897,20 +903,29 @@ impl Soc {
                     fetch_cycles,
                     extra_cycles: exec.extra_cycles,
                     mem_is_load: exec.mem.as_ref().is_some_and(is_load),
-                    branch: None,
+                    branch: exec.branch,
                     branch_hinted: false,
                 },
                 &self.costs,
-                now,
+                at,
             );
             core.instret += 1;
             if prv == PrivMode::User {
                 core.user_instret += 1;
             }
             core.busy_cycles += cycles;
-            core.ready_at = now + cycles;
+            core.ready_at = at + cycles;
+            at = core.ready_at;
             retired += 1;
-            sink(exec.mem.as_ref());
+            sink(&Retired {
+                pc,
+                inst,
+                next_pc: exec.next_pc,
+                prv,
+                mem: exec.mem,
+                branch: exec.branch,
+                cycles,
+            });
             self.after_access(exec.mem.as_ref());
             // A store into text (code patching) ends the block.
             if self.code_epoch != epoch0 {
@@ -922,8 +937,8 @@ impl Soc {
 
     /// Runs a single program on core 0 until it traps with an `ecall`,
     /// up to `max_instructions`. A convenience harness for tests and
-    /// single-core experiments; returns the retire count. Straight-line
-    /// runs dispatch as superblocks; timing is identical to pure stepping.
+    /// single-core experiments; returns the retire count. Runs dispatch
+    /// as main blocks; timing is identical to pure stepping.
     ///
     /// # Panics
     ///
@@ -936,7 +951,7 @@ impl Soc {
         core.unpark();
         let mut retired = 0;
         while retired < max_instructions {
-            retired += self.run_superblock_logged(0, max_instructions - retired, |_| {});
+            retired += self.run_main_block(0, max_instructions - retired, u64::MAX, |_| {});
             if retired >= max_instructions {
                 break;
             }
@@ -1143,7 +1158,7 @@ mod tests {
         assert_eq!(d, 1, "dependent use directly after a load stalls one cycle");
     }
 
-    /// Runs `p` on a one-core SoC through `run_to_ecall` (superblocks)
+    /// Runs `p` on a one-core SoC through `run_to_ecall` (main blocks)
     /// and through a plain `step_core` loop, returning each run's retire
     /// count, `now()`, `instret` and final state.
     fn blocks_and_steps(p: &Program) -> [(u64, u64, u64, ArchSnapshot); 2] {
@@ -1166,9 +1181,11 @@ mod tests {
 
     #[test]
     fn superblocks_match_stepping_exactly() {
-        // Straight-line ALU/load/store runs interleaved with branches; a
-        // load-use interlock sits inside the block. Superblock dispatch
-        // must be cycle- and state-exact against pure stepping.
+        // ALU, load and store runs across a `jal` call, its `jalr`
+        // return, a data-dependent branch and the loop branch, so the
+        // predictor trains inside blocks; a load-use interlock sits
+        // inside one. Block dispatch must be cycle- and state-exact
+        // against pure stepping.
         let mut asm = Assembler::new("blocks");
         // A jump opening a cold line straight after a block: its fetch
         // belongs to the step that runs it.
@@ -1190,11 +1207,106 @@ mod tests {
             rs1: XReg::A2,
             rs2: XReg::A2,
         });
+        asm.call("bump");
+        // Taken every fourth pass: `a0` grows by 15 a pass.
+        asm.push(Inst::OpImm {
+            op: IntImmOp::Andi,
+            rd: XReg::T0,
+            rs1: XReg::A0,
+            imm: 3,
+        });
+        asm.beqz(XReg::T0, "skip");
+        asm.addi(XReg::A4, XReg::A4, 1);
+        asm.label("skip").unwrap();
         asm.addi(XReg::A1, XReg::A1, -1);
         asm.bnez(XReg::A1, "loop");
         asm.ecall();
+        asm.label("bump").unwrap();
+        asm.addi(XReg::A5, XReg::A5, 1);
+        asm.ret();
         let [blocked, stepped] = blocks_and_steps(&asm.finish().unwrap());
         assert_eq!(blocked, stepped);
+        let x = |r: XReg| blocked.3.xregs[usize::from(r.index())];
+        assert_eq!((x(XReg::A4), x(XReg::A5)), (375, 500));
+    }
+
+    /// Stores over `lines` lines 64 KiB apart from the data window of
+    /// `slot` (1 MiB apart per slot), so every slot's lines share one
+    /// shared-L2 set and one L1 set. Each store follows an ALU
+    /// instruction, so it would sit inside a block.
+    fn set_conflict_program(slot: u64, lines: i64) -> Program {
+        let text = 0x1000_0000 + slot * 0x10_0000;
+        let data = 0x2000_0000 + slot * 0x10_0000;
+        let mut asm = Assembler::with_bases(format!("conflict{slot}"), text, data);
+        asm.li(XReg::A1, 40);
+        asm.li(XReg::T1, 0x1_0000);
+        asm.label("outer").unwrap();
+        asm.li(XReg::T0, data as i64);
+        asm.li(XReg::T2, lines);
+        asm.label("inner").unwrap();
+        asm.add(XReg::A4, XReg::A4, XReg::A1);
+        asm.sd(XReg::T0, XReg::A4, 0);
+        asm.ld(XReg::A3, XReg::T0, 0);
+        asm.add(XReg::A5, XReg::A5, XReg::A3);
+        asm.add(XReg::T0, XReg::T0, XReg::T1);
+        asm.addi(XReg::T2, XReg::T2, -1);
+        asm.bnez(XReg::T2, "inner");
+        asm.addi(XReg::A1, XReg::A1, -1);
+        asm.bnez(XReg::A1, "outer");
+        asm.ecall();
+        asm.finish().unwrap()
+    }
+
+    #[test]
+    fn blocks_on_two_cores_sharing_an_l2_set_match_stepping() {
+        // Five lines per core plus each text line overfill the 8-way L2
+        // set, so its evictions depend on the order the cores reach it.
+        let programs = [set_conflict_program(0, 5), set_conflict_program(1, 5)];
+        let run = |blocks: bool| {
+            let mut soc = Soc::new(SocConfig::paper(2)).unwrap();
+            for (id, p) in programs.iter().enumerate() {
+                soc.load_program(p);
+                let core = soc.core_mut(id);
+                core.state.pc = p.entry;
+                core.state.prv = PrivMode::User;
+                core.unpark();
+            }
+            let (mut retired, mut dispatches) = ([0u64; 2], 0);
+            while let Some(id) = soc.next_ready() {
+                dispatches += 1;
+                if blocks {
+                    let n = soc.run_main_block(id, BLOCK_INSTS, u64::MAX, |_| {});
+                    if n > 0 {
+                        retired[id] += n;
+                        continue;
+                    }
+                }
+                match soc.step_core(id).kind {
+                    StepKind::Retired(_) => retired[id] += 1,
+                    StepKind::Trap {
+                        cause: TrapCause::EcallFromU,
+                        ..
+                    } => soc.core_mut(id).park(),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            let cores: Vec<_> = (0..2)
+                .map(|id| {
+                    let core = soc.core(id);
+                    (retired[id], core.ready_at, core.state.snapshot())
+                })
+                .collect();
+            (cores, *soc.mem.l2_stats(), dispatches)
+        };
+        let (blocked, blocked_l2, blocked_dispatches) = run(true);
+        let (stepped, stepped_l2, stepped_dispatches) = run(false);
+        assert_eq!(blocked, stepped);
+        assert_eq!(blocked_l2, stepped_l2);
+        assert!(stepped_l2.evictions > 0, "the set overflows");
+        assert!(
+            blocked_dispatches < stepped_dispatches,
+            "{blocked_dispatches} vs {stepped_dispatches}"
+        );
     }
 
     /// The word of `addi rd, rs1, imm`.
