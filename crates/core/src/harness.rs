@@ -1954,6 +1954,96 @@ mod tests {
         asm.finish().unwrap()
     }
 
+    /// The kernel of the replay-block goldens (`tests/replay_blocks.rs`):
+    /// loads, stores, an atomic, a multiply, a conditional call and two
+    /// branches per iteration, in a private text/data window per slot.
+    fn amo_call_loop(slot: u64, iters: i64) -> Program {
+        use flexstep_isa::inst::{AmoOp, AmoWidth, Inst, IntImmOp, IntOp};
+        let text = 0x1000_0000 + slot * 0x10_0000;
+        let data = 0x2000_0000 + slot * 0x10_0000;
+        let mut asm = Assembler::with_bases(format!("blk{slot}"), text, data);
+        let imm = |op, rd, rs1, imm| Inst::OpImm { op, rd, rs1, imm };
+        asm.la(XReg::A2, "buf");
+        asm.data_label("buf").unwrap();
+        asm.data_zeros(128);
+        asm.li(XReg::A0, iters);
+        asm.li(XReg::A4, 0);
+        asm.label("loop").unwrap();
+        asm.push(imm(IntImmOp::Andi, XReg::T0, XReg::A0, 7));
+        asm.push(imm(IntImmOp::Slli, XReg::T0, XReg::T0, 3));
+        asm.add(XReg::T1, XReg::A2, XReg::T0);
+        asm.sd(XReg::T1, XReg::A0, 16);
+        asm.ld(XReg::A3, XReg::T1, 16);
+        asm.add(XReg::A4, XReg::A4, XReg::A3);
+        asm.mul(XReg::A5, XReg::A4, XReg::A0);
+        asm.push(Inst::Amo {
+            op: AmoOp::Add,
+            width: AmoWidth::D,
+            rd: XReg::A6,
+            rs1: XReg::A2,
+            rs2: XReg::A5,
+        });
+        asm.push(imm(IntImmOp::Andi, XReg::T2, XReg::A0, 3));
+        asm.bnez(XReg::T2, "skip");
+        asm.call("helper");
+        asm.label("skip").unwrap();
+        asm.addi(XReg::A0, XReg::A0, -1);
+        asm.bnez(XReg::A0, "loop");
+        asm.ecall();
+        asm.label("helper").unwrap();
+        asm.push(Inst::Op {
+            op: IntOp::Xor,
+            rd: XReg::A4,
+            rs1: XReg::A4,
+            rs2: XReg::A0,
+        });
+        asm.sd(XReg::A2, XReg::A4, 8);
+        asm.ret();
+        asm.finish().unwrap()
+    }
+
+    /// The scenario of the `blocks_triple_rollback` golden
+    /// (`tests/replay_blocks.rs`): one main checked by two checkers,
+    /// 400-instruction segments, two random shots, rollback.
+    fn triple_rollback_golden(seed: u64) -> Scenario {
+        let first = 2_000 + 1_700 * seed;
+        Scenario::new(&amo_call_loop(0, 700 + 50 * seed as i64))
+            .cores(3)
+            .topology(Topology::Custom(vec![(0, vec![1, 2])]))
+            .fabric(FabricConfig {
+                segment_limit: 400,
+                ..FabricConfig::paper()
+            })
+            .fault_plan(
+                FaultPlan::none()
+                    .with_seed(seed)
+                    .then_random_at(first)
+                    .then_random_at(first + 9_000),
+            )
+            .recovery(RecoveryPolicy::Rollback { max_retries: 3 })
+    }
+
+    #[test]
+    fn triple_rollback_golden_is_the_single_stepped_run() {
+        // `tests/replay_blocks.rs` holds blocks to this golden; the
+        // reference that steps every instruction must give it too.
+        let runs: Vec<String> = (1..=3)
+            .map(|seed| {
+                let mut run = triple_rollback_golden(seed).build().unwrap();
+                run.single_step = true;
+                let report = run.run_to_completion(u64::MAX);
+                assert!(report.completed, "seed {seed}");
+                report.to_json()
+            })
+            .collect();
+        let golden =
+            include_str!("../../../tests/fixtures/goldens/blocks_triple_rollback.report.json");
+        assert!(
+            format!("[\n{}\n]\n", runs.join(",\n")) == golden,
+            "single-stepped reports differ from blocks_triple_rollback.report.json"
+        );
+    }
+
     fn dual(p: &Program, fabric: FabricConfig) -> VerifiedRun {
         Scenario::new(p).cores(2).fabric(fabric).build().unwrap()
     }
@@ -2137,10 +2227,44 @@ mod tests {
                     sc
                 }),
             ),
+            (
+                "triple rollback, atomics and calls",
+                Box::new(triple_rollback_golden),
+            ),
             ("twelve mains", Box::new(move |_| twelve_mains(None))),
             (
                 "twelve mains, a shot each",
                 Box::new(move |seed| twelve_mains(Some(seed))),
+            ),
+            (
+                "twelve mains, a shot each, rollback",
+                Box::new(move |seed| twelve_mains(Some(seed)).recovery(rollback)),
+            ),
+            (
+                "pool hand-over under rollback",
+                Box::new(move |seed| {
+                    // With free checkpoints the pool checker, handed over
+                    // to the queued main, replays that main's first
+                    // segment and detects the early flip within one of
+                    // the main's blocks: only the pool bound stops it.
+                    Scenario::new(&store_loop_in_window(120, 0))
+                        .program(&amo_call_loop(1, 400))
+                        .cores(3)
+                        .topology(Topology::SharedChecker { checkers: 1 })
+                        .fabric(FabricConfig {
+                            segment_limit: 400,
+                            scp_apply_cycles: 0,
+                            ecp_compare_cycles: 0,
+                            checker_wait_cycles: 1,
+                            ..FabricConfig::paper()
+                        })
+                        .fault_plan(
+                            FaultPlan::bit_flip_at(20 + 60 * seed, FaultTarget::EntryData)
+                                .on_channel(1)
+                                .with_seed(seed),
+                        )
+                        .recovery(rollback)
+                }),
             ),
         ];
         for (name, build) in &shapes {

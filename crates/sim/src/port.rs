@@ -240,7 +240,8 @@ impl DataPort for SocDataPort<'_> {
         op: AmoOp,
         src: u64,
     ) -> Result<(u64, u64), PortStop> {
-        self.admit(addr, AccessKind::Write)?;
+        // Main blocks end before every atomic: `l1_only` is never set here.
+        debug_assert!(!self.l1_only, "an atomic inside a main block");
         let (old, cycles) = self.mem.amo(self.core, addr, width.size(), |old| {
             amo_apply(op, width, old, src)
         });
