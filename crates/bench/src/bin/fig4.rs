@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig4 [--suite parsec|spec|all] [--scale test|small|medium]`
 
-use flexstep_bench::{fig4_parallel, geomean};
+use flexstep_bench::{fig4, geomean};
 use flexstep_workloads::{parsec, spec, Scale};
 
 fn main() {
@@ -12,16 +12,10 @@ fn main() {
     let scale = parse_scale(&args);
 
     if suite == "parsec" || suite == "all" {
-        print_suite(
-            "Fig. 4(a) — Parsec (v3.0)",
-            &fig4_parallel(&parsec(), scale),
-        );
+        print_suite("Fig. 4(a) — Parsec (v3.0)", &fig4(&parsec(), scale));
     }
     if suite == "spec" || suite == "all" {
-        print_suite(
-            "Fig. 4(b) — Full SPECint CPU2006",
-            &fig4_parallel(&spec(), scale),
-        );
+        print_suite("Fig. 4(b) — Full SPECint CPU2006", &fig4(&spec(), scale));
     }
 }
 

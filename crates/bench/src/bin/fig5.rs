@@ -3,7 +3,8 @@
 //!
 //! Usage: `fig5 [--sets N] [--seed S] [--plot a|b|c|d|e|f]`
 
-use flexstep_sched::{paper_utilization_axis, sweep_parallel, Fig5Config};
+use flexstep_bench::{host_workers, par_map};
+use flexstep_sched::{paper_utilization_axis, sweep, Fig5Config};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -33,7 +34,9 @@ fn main() {
             "{:>6} {:>10} {:>8} {:>10}",
             "util", "LockStep", "HMR", "FlexStep"
         );
-        for p in sweep_parallel(&cfg, &axis, sets, seed) {
+        // `sweep` seeds each point from its utilisation value, so
+        // single-point sweeps equal one sweep over the whole axis.
+        for p in par_map(&axis, host_workers(), |&u| sweep(&cfg, &[u], sets, seed)[0]) {
             println!(
                 "{:>6.2} {:>9.1}% {:>7.1}% {:>9.1}%",
                 p.utilization, p.lockstep, p.hmr, p.flexstep

@@ -2,7 +2,7 @@
 //!
 //! Usage: `fig6 [--scale test|small|medium]`
 
-use flexstep_bench::{fig6_parallel, geomean};
+use flexstep_bench::{fig6, geomean};
 use flexstep_workloads::{parsec, Scale};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         Some(s) if s == "medium" => Scale::Medium,
         _ => Scale::Test,
     };
-    let rows = fig6_parallel(&parsec(), scale);
+    let rows = fig6(&parsec(), scale);
     println!("Fig. 6 — verification-mode slowdown (Parsec)");
     println!(
         "{:<16} {:>12} {:>12}",

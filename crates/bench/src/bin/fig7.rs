@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig7 [--injections N] [--seed S] [--scale test|small|medium]`
 
-use flexstep_bench::{fig7_parallel, latency_histogram};
+use flexstep_bench::{fig7, latency_histogram};
 use flexstep_workloads::{parsec, Scale};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         "{:<16} {:>5} {:>5} {:>8} {:>8} {:>8} {:>8}  histogram 0..120µs",
         "workload", "inj", "det", "mean", "p50", "p99", "max"
     );
-    for row in fig7_parallel(&parsec(), scale, injections, seed) {
+    for row in fig7(&parsec(), scale, injections, seed) {
         match &row.stats {
             Some(s) => println!(
                 "{:<16} {:>5} {:>5} {:>8.1} {:>8.1} {:>8.1} {:>8.1}  |{}|",

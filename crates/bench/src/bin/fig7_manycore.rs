@@ -16,7 +16,7 @@
 //!   schedule as size-bounded Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or Perfetto).
 
-use flexstep_bench::campaign::{fig7_manycore_sweep_recovery, CampaignRow};
+use flexstep_bench::campaign::{fig7_manycore_sweep, CampaignRow};
 use flexstep_bench::{arg_value, latency_histogram, run_bin, write_artifact, BenchError};
 use flexstep_bench::{LatencyStats, RecoveryPolicy};
 use flexstep_core::json::{array, JsonObject};
@@ -57,7 +57,7 @@ fn run() -> Result<(), BenchError> {
         "mean µs", "p99 µs", "max µs"
     );
     let trace = trace_path.as_ref().map(std::path::Path::new);
-    let rows = fig7_manycore_sweep_recovery(&cores, quick, trace, policy)?;
+    let rows = fig7_manycore_sweep(&cores, quick, trace, policy)?;
     let mut rows_json = Vec::new();
     for row in &rows {
         if !row.completed {

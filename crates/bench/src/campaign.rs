@@ -10,8 +10,8 @@
 //! The campaign is chunked: `runs` independent simulations each execute
 //! `shots_per_run` shots (so arming cycles stay dense without a single
 //! run's FIFO-ordered fault driver serialising thousands of shots), and
-//! the chunks run concurrently under `std::thread::scope`. Every chunk
-//! derives its own RNG stream as
+//! the chunks run concurrently through [`par_map`]. Every chunk derives
+//! its own RNG stream as
 //! [`derive_stream(seed, "chunk-{k}")`](crate::derive_stream), so the
 //! campaign is deterministic for a given seed regardless of thread
 //! interleaving.
@@ -48,8 +48,8 @@
 
 use crate::manycore::{checker_split, many_core_job};
 use crate::{
-    derive_stream, FabricConfig, FaultPlan, LatencyStats, RecoveryPolicy, ReliabilityMode,
-    Scenario, Topology,
+    derive_stream, host_workers, par_map, FabricConfig, FaultPlan, LatencyStats, RecoveryPolicy,
+    ReliabilityMode, Scenario, Topology,
 };
 use flexstep_core::json::{array, numbers, numbers_u64, JsonObject};
 use flexstep_core::{MatchedDetection, ScenarioError};
@@ -525,8 +525,8 @@ pub fn run_shard(
     run_chunk(cfg, &programs, checkers, horizon, shard, None)
 }
 
-/// Runs the campaign at one configuration: `runs` chunks across scoped
-/// threads, aggregated into per-pool and per-main distributions.
+/// Runs the campaign at one configuration: `runs` chunks through
+/// [`par_map`], aggregated into per-pool and per-main distributions.
 ///
 /// # Errors
 ///
@@ -540,8 +540,8 @@ pub fn campaign_row(cfg: &CampaignConfig) -> Result<CampaignRow, ScenarioError> 
 /// is given, chunk 0 of the campaign records a size-bounded schedule
 /// trace ([`flexstep_core::trace`]) and writes it there. One chunk is
 /// one full SoC run — exactly the timeline `chrome://tracing` can
-/// render; tracing every chunk would just overwrite the same file from
-/// `runs` threads.
+/// render; tracing every chunk would just overwrite the same file
+/// `runs` times.
 ///
 /// # Errors
 ///
@@ -559,26 +559,15 @@ pub fn campaign_row_traced(
     let start = Instant::now();
     let horizon = fault_free_horizon(cfg, &programs, checkers)?;
 
-    // One chunk per scoped thread, spawned in waves bounded by the
-    // machine's parallelism — a 100-chunk campaign must not hold 100
-    // simulated SoCs in memory at once. Slots keep chunk order (and
-    // every chunk derives its own RNG stream), so the aggregate is
-    // independent of wave size and interleaving.
-    let max_parallel = std::thread::available_parallelism().map_or(8, |n| n.get().max(2));
-    let mut outcomes: Vec<Option<Result<ShardOutcome, ScenarioError>>> = Vec::new();
-    outcomes.resize_with(cfg.runs, || None);
-    for (wave, batch) in outcomes.chunks_mut(max_parallel).enumerate() {
-        std::thread::scope(|scope| {
-            for (offset, slot) in batch.iter_mut().enumerate() {
-                let programs = &programs;
-                let chunk = wave * max_parallel + offset;
-                let trace = if chunk == 0 { trace } else { None };
-                scope.spawn(move || {
-                    *slot = Some(run_chunk(cfg, programs, checkers, horizon, chunk, trace));
-                });
-            }
-        });
-    }
+    // One chunk per executor item: a 100-chunk campaign holds at most
+    // one simulated SoC per worker in memory. Results keep chunk order
+    // (and every chunk derives its own RNG stream), so the aggregate is
+    // independent of the worker count and interleaving.
+    let chunks: Vec<usize> = (0..cfg.runs).collect();
+    let outcomes = par_map(&chunks, host_workers(), |&chunk| {
+        let trace = if chunk == 0 { trace } else { None };
+        run_chunk(cfg, &programs, checkers, horizon, chunk, trace)
+    });
 
     let clock = Clock::paper();
     let mut completed = true;
@@ -598,7 +587,7 @@ pub fn campaign_row_traced(
     let (mut recovered, mut unrecovered) = (0usize, 0usize);
     let mut recovery_cycles_all: Vec<u64> = Vec::new();
     for outcome in outcomes {
-        let o = outcome.expect("all chunks computed")?;
+        let o = outcome?;
         completed &= o.completed;
         engine_steps += o.engine_steps;
         detections_raw += o.detections;
@@ -678,41 +667,16 @@ pub fn campaign_row_traced(
     })
 }
 
-/// Runs the Fig. 7-style many-core campaign over the given core counts.
+/// Runs the Fig. 7-style many-core campaign over the given core counts
+/// under `recovery`, exporting the first row's chunk 0 as a Chrome trace
+/// when `trace` is given (see [`campaign_row_traced`]). Under
+/// [`RecoveryPolicy::Rollback`] the rows additionally report recovery
+/// counts and the detect → verified-again latency distribution.
 ///
 /// # Errors
 ///
 /// Propagates the first invalid configuration.
 pub fn fig7_manycore_sweep(
-    core_counts: &[usize],
-    quick: bool,
-) -> Result<Vec<CampaignRow>, ScenarioError> {
-    fig7_manycore_sweep_recovery(core_counts, quick, None, RecoveryPolicy::Detect)
-}
-
-/// [`fig7_manycore_sweep`] with an optional Chrome-trace export of the
-/// first row's chunk 0 (see [`campaign_row_traced`]).
-///
-/// # Errors
-///
-/// Propagates the first invalid configuration.
-pub fn fig7_manycore_sweep_traced(
-    core_counts: &[usize],
-    quick: bool,
-    trace: Option<&std::path::Path>,
-) -> Result<Vec<CampaignRow>, ScenarioError> {
-    fig7_manycore_sweep_recovery(core_counts, quick, trace, RecoveryPolicy::Detect)
-}
-
-/// [`fig7_manycore_sweep_traced`] under an explicit recovery policy.
-/// Under [`RecoveryPolicy::Rollback`] the rows additionally report
-/// recovery counts and the detect → verified-again latency
-/// distribution.
-///
-/// # Errors
-///
-/// Propagates the first invalid configuration.
-pub fn fig7_manycore_sweep_recovery(
     core_counts: &[usize],
     quick: bool,
     trace: Option<&std::path::Path>,

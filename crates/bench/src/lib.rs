@@ -34,6 +34,7 @@ pub use flexstep_sim::{Clock, Soc, SocConfig};
 pub use flexstep_workloads::{by_name, nzdc_transform, Scale, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Builds the Fig. 4 dual-core scenario (core 0 main, core 1 checker)
 /// for a workload program — the bench crates' canonical front door.
@@ -195,42 +196,57 @@ pub fn fig4_row(w: &Workload, scale: Scale) -> Fig4Row {
     }
 }
 
-/// Runs the Fig. 4 experiment over a suite.
+/// Runs the Fig. 4 experiment over a suite, one workload per
+/// [`par_map`] item.
 ///
 /// # Panics
 ///
 /// Panics if a workload fails to run to completion (a bug, not a result).
 pub fn fig4(workloads: &[Workload], scale: Scale) -> Vec<Fig4Row> {
-    workloads.iter().map(|w| fig4_row(w, scale)).collect()
+    par_map(workloads, host_workers(), |w| fig4_row(w, scale))
 }
 
-/// [`fig4`] with per-workload parallelism: each workload's three runs
-/// execute on their own thread (simulations are independent and
-/// deterministic, so the rows are identical to the sequential runner's).
-pub fn fig4_parallel(workloads: &[Workload], scale: Scale) -> Vec<Fig4Row> {
-    run_rows_parallel(workloads, |w| fig4_row(w, scale))
+/// The host's worker count for [`par_map`]: its available parallelism,
+/// or 1 when that cannot be read.
+pub fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `row` for every workload on its own scoped thread, preserving
-/// input order — the campaign-level counterpart of
-/// `flexstep_sched::sweep_parallel`.
-fn run_rows_parallel<R: Send>(
-    workloads: &[Workload],
-    row: impl Fn(&Workload) -> R + Sync,
+/// The campaign executor: maps `f` over `items` on at most `workers`
+/// scoped threads (clamped to `1..=items.len()`) and returns the
+/// results in input order, equal to a sequential map's.
+///
+/// Each worker claims the next index from one shared counter, so at
+/// most `workers` items are in flight at once and an expensive item
+/// holds up only its own worker. A panic in `f` reaches the caller once
+/// the other workers have drained the remaining items.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(workloads.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, w) in out.iter_mut().zip(workloads) {
-            let row = &row;
-            scope.spawn(move || {
-                *slot = Some(row(w));
-            });
+    // Relaxed: the counter only hands out indices; results reach the
+    // caller through `join`, which synchronises.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return out };
+            out.push((i, f(item)));
         }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    out.into_iter()
-        .map(|r| r.expect("all rows computed"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// FxHash-style 64-bit byte-string hash (rotate–xor–multiply with the
@@ -252,8 +268,8 @@ pub fn fxhash64(bytes: &[u8]) -> u64 {
 /// `seed ^ fxhash64(name)`.
 ///
 /// The derivation is byte-stable — campaign artifacts and the Fig. 7
-/// parallel sweep depend on it never changing (pinned by
-/// `derive_stream_is_byte_stable` and the fig7 stream test):
+/// sweep depend on it never changing (pinned by
+/// `derive_stream_is_byte_stable` and the `fig7` stream test):
 ///
 /// ```
 /// use flexstep_bench::{derive_stream, fxhash64};
@@ -318,18 +334,14 @@ pub fn fig6_row(w: &Workload, scale: Scale) -> Fig6Row {
     }
 }
 
-/// Runs the Fig. 6 experiment (Parsec under both verification modes).
+/// Runs the Fig. 6 experiment (Parsec under both verification modes),
+/// one workload per [`par_map`] item.
 ///
 /// # Panics
 ///
 /// Panics if a workload fails to complete.
 pub fn fig6(workloads: &[Workload], scale: Scale) -> Vec<Fig6Row> {
-    workloads.iter().map(|w| fig6_row(w, scale)).collect()
-}
-
-/// [`fig6`] with per-workload parallelism (see [`fig4_parallel`]).
-pub fn fig6_parallel(workloads: &[Workload], scale: Scale) -> Vec<Fig6Row> {
-    run_rows_parallel(workloads, |w| fig6_row(w, scale))
+    par_map(workloads, host_workers(), |w| fig6_row(w, scale))
 }
 
 /// One Fig. 7 row: the detection-latency distribution of one workload.
@@ -414,20 +426,14 @@ pub fn fig7_campaign_with(
     }
 }
 
-/// Runs the Fig. 7 campaign over a suite with per-workload parallelism
-/// (see [`fig4_parallel`]). Each workload's campaign runs with its own
-/// deterministic RNG stream derived as `seed ^ fxhash64(name)` — passing
-/// the raw `seed` to every workload (the old behaviour) correlated the
-/// injection sites across rows, so every workload sampled the same
-/// relative injection instants. Rows are still fully reproducible for a
-/// given `seed`.
-pub fn fig7_parallel(
-    workloads: &[Workload],
-    scale: Scale,
-    injections: usize,
-    seed: u64,
-) -> Vec<Fig7Row> {
-    run_rows_parallel(workloads, |w| {
+/// Runs the Fig. 7 campaign over a suite, one workload per [`par_map`]
+/// item. Each workload's campaign runs with its own deterministic RNG
+/// stream derived as `seed ^ fxhash64(name)` — passing the raw `seed`
+/// to every workload (the old behaviour) correlated the injection sites
+/// across rows, so every workload sampled the same relative injection
+/// instants. Rows are still fully reproducible for a given `seed`.
+pub fn fig7(workloads: &[Workload], scale: Scale, injections: usize, seed: u64) -> Vec<Fig7Row> {
+    par_map(workloads, host_workers(), |w| {
         fig7_campaign(w, scale, injections, derive_stream(seed, w.name))
     })
 }
@@ -542,15 +548,85 @@ mod tests {
     }
 
     #[test]
-    fn fig7_parallel_derives_per_workload_seed_streams() {
+    fn fig7_derives_per_workload_seed_streams() {
         // Pins the decorrelation rule: row i runs with
         // `seed ^ fxhash64(name)`, not the raw shared seed.
         let w = by_name("libquantum").unwrap();
-        let rows = fig7_parallel(std::slice::from_ref(&w), Scale::Test, 4, 42);
+        let rows = fig7(std::slice::from_ref(&w), Scale::Test, 4, 42);
         let direct = fig7_campaign(&w, Scale::Test, 4, 42 ^ fxhash64(w.name.as_bytes()));
         assert_eq!(rows[0].injected, direct.injected);
         assert_eq!(rows[0].detected, direct.detected);
         assert_eq!(rows[0].latencies_us, direct.latencies_us);
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_under_uneven_costs() {
+        // Items 1 and 2 each run until the next item has started, so
+        // two workers split them as {1, 3} and {2}: neither returns a
+        // contiguous run, and item 3 finishes before items 1 and 2.
+        use std::sync::atomic::AtomicBool;
+        let started: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
+        let got = par_map(&[0usize, 1, 2, 3], 2, |&i| {
+            started[i].store(true, Ordering::SeqCst);
+            if i == 1 || i == 2 {
+                while !started[i + 1].load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            i * 10
+        });
+        assert_eq!(got, [0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn par_map_clamps_its_worker_count() {
+        let items = [3u32, 1, 4, 1, 5];
+        let expect: Vec<u32> = items.iter().map(|x| x + 1).collect();
+        for workers in [0, 1, 2, items.len(), 64] {
+            assert_eq!(par_map(&items, workers, |x| x + 1), expect, "{workers}");
+        }
+        let empty: [u32; 0] = [];
+        assert!(par_map(&empty, 4, |x| x + 1).is_empty());
+        assert!(par_map(&empty, 0, |x| x + 1).is_empty());
+    }
+
+    #[test]
+    fn par_map_never_runs_more_than_workers_items_at_once() {
+        // 60 items split evenly over 1, 2 or 3 workers. The barrier holds
+        // every item until `workers` are in flight, so the high-water
+        // mark reaches `workers` exactly, and an extra thread would push
+        // it past.
+        let items: Vec<usize> = (0..60).collect();
+        for workers in [1, 2, 3] {
+            let (live, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let all_in = std::sync::Barrier::new(workers);
+            par_map(&items, workers, |_| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                high.fetch_max(now, Ordering::SeqCst);
+                all_in.wait();
+                live.fetch_sub(1, Ordering::SeqCst);
+            });
+            assert_eq!(high.into_inner(), workers);
+        }
+    }
+
+    #[test]
+    fn par_map_passes_a_panic_to_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            par_map(&[1, 2, 3, 4], 2, |&x| {
+                if x == 3 {
+                    panic!("item three fails");
+                }
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("item three fails"), "{msg:?}");
     }
 
     #[test]

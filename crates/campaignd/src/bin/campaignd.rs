@@ -1,4 +1,4 @@
-//! `campaignd` — the resumable work-stealing campaign driver.
+//! `campaignd` — the resumable campaign driver.
 //!
 //! ```text
 //! campaignd submit --dir DIR [--quick] [--name S] [--cores 8,16]
@@ -12,11 +12,14 @@
 //! campaignd merge  --dir DIR [--out PATH]  shards -> merged.jsonl
 //! ```
 //!
-//! `run` is killable at any instant — including `SIGKILL` — and a
+//! `run` drains the pending shards on `--workers` threads (default: the
+//! host's available parallelism), each claiming the next pending shard
+//! in id order; `--max-shards N` runs only the first `N` pending shards.
+//! It is killable at any instant — including `SIGKILL` — and a
 //! subsequent `run`/`resume` redoes only the shards that were in
 //! flight; the `merge` artifact comes out byte-identical either way.
 
-use flexstep_bench::{arg_value, run_bin, BenchError};
+use flexstep_bench::{arg_value, host_workers, run_bin, BenchError};
 use flexstep_campaignd::{engine, JobSpec, RecoveryPolicy};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -98,9 +101,7 @@ fn submit(args: &[String]) -> Result<(), BenchError> {
 
 fn drain(args: &[String]) -> Result<(), BenchError> {
     let dir = dir_arg(args)?;
-    let workers = num_arg(args, "--workers")?.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    });
+    let workers = num_arg(args, "--workers")?.unwrap_or_else(host_workers);
     let max_shards = num_arg(args, "--max-shards")?;
     let summary = engine::run(&dir, workers, max_shards)?;
     println!(

@@ -1,4 +1,4 @@
-//! The resumable work-stealing campaign engine.
+//! The resumable campaign engine.
 //!
 //! A campaign directory is the unit of state:
 //!
@@ -11,13 +11,14 @@
 //!
 //! [`run`] expands the spec into its deterministic shard list, skips
 //! everything the manifest already records, and drains the rest through
-//! a pool of work-stealing workers: each worker owns a deque seeded
-//! round-robin, pops its own front, and steals from the *back* of other
-//! workers' deques when empty — the classic split that keeps owners and
-//! thieves off the same end. Every finished shard is durably renamed
-//! into place and checkpointed before the worker takes more work, so a
+//! [`par_map`]: each worker claims the next pending shard, in id order,
+//! from one shared counter. Every finished shard is durably renamed
+//! into place and checkpointed before its worker claims another, so a
 //! `SIGKILL` at any instant loses at most the shards in flight; a
 //! subsequent [`run`] (resume is the same code path) redoes only those.
+//! `--max-shards N` runs the first `N` pending shards. After a failure
+//! no worker claims a new shard, and [`run`] returns the failure of the
+//! lowest-id shard that failed.
 //!
 //! Shard outcomes are pure functions of `(spec, shard id)` — the same
 //! RNG streams as [`campaign_row`](flexstep_bench::campaign::campaign_row)
@@ -29,10 +30,11 @@ use crate::error::CampaignError;
 use crate::manifest;
 use crate::spec::{JobSpec, Shard};
 use flexstep_bench::campaign::{probe_horizon, run_shard, ShardOutcome};
+use flexstep_bench::par_map;
 use flexstep_core::json::{self, JsonObject};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -203,19 +205,21 @@ fn check_outcome(shard: Shard, outcome: &ShardOutcome) -> Result<(), CampaignErr
     Ok(())
 }
 
-/// Runs (or resumes — same code path) the campaign in `dir` with
-/// `workers` work-stealing workers, executing at most `max_shards`
-/// shards when given (the interrupt/resume tests' hard-stop knob).
+/// Runs (or resumes — same code path) the campaign in `dir` on at most
+/// `workers` [`par_map`] workers. With `max_shards`, only the first
+/// `max_shards` pending shards run, in id order (the interrupt/resume
+/// tests' hard stop).
 ///
 /// # Errors
 ///
-/// Returns the first shard or checkpoint failure; already-checkpointed
-/// shards stay durable, so a failed run resumes like a killed one.
+/// Returns the failure (shard run, outcome invariant or checkpoint
+/// I/O) of the lowest-id shard that failed; after a failure no worker
+/// claims a new shard. Already-checkpointed shards stay durable, so a
+/// failed run resumes like a killed one.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread itself panics (a bug, not an input
-/// failure).
+/// Panics if a shard panics (a bug, not an input failure).
 pub fn run(
     dir: &Path,
     workers: usize,
@@ -225,11 +229,12 @@ pub fn run(
     let total = spec.total_shards();
     let manifest = manifest::reconcile(dir, total)?;
     let skipped = manifest.done().len();
-    let pending: Vec<Shard> = spec
+    let mut pending: Vec<Shard> = spec
         .shards()
         .into_iter()
         .filter(|s| !manifest.is_done(s.id))
         .collect();
+    pending.truncate(max_shards.unwrap_or(usize::MAX));
 
     // Arming horizons are per-configuration and deterministic; probing
     // them once up front (not per shard) keeps the workers saturated
@@ -241,100 +246,52 @@ pub fn run(
         }
     }
 
-    let workers = workers.max(1);
-    // Round-robin seeding spreads each configuration's shards across
-    // all deques, so even a single-configuration campaign parallelises
-    // from the first instant.
-    let queues: Vec<Mutex<VecDeque<Shard>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                pending
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .copied()
-                    .collect::<VecDeque<_>>(),
-            )
-        })
-        .collect();
-    let budget = AtomicUsize::new(max_shards.unwrap_or(usize::MAX));
-    let steps = AtomicU64::new(0);
-    let ran = AtomicUsize::new(0);
-    let failed: Mutex<Option<CampaignError>> = Mutex::new(None);
     let checkpoint = Mutex::new(manifest);
-
+    let run_one = |shard: Shard| -> Result<u64, CampaignError> {
+        let outcome = run_shard(
+            &spec.config_for(shard.cores),
+            horizons[&shard.cores],
+            shard.index,
+        )?;
+        check_outcome(shard, &outcome)?;
+        manifest::write_atomic(
+            &manifest::shard_path(dir, shard.id),
+            &(shard_line(shard, &outcome) + "\n"),
+        )?;
+        // Checkpoint strictly after the shard file is durable (see
+        // crate::manifest's write rules).
+        let mut m = checkpoint.lock().expect("manifest lock");
+        m.mark_done(shard.id);
+        manifest::store(dir, &m)?;
+        Ok(outcome.engine_steps)
+    };
+    // Set by the first failing shard so that no worker claims another.
+    // Relaxed: the flag publishes no data; errors come back in order
+    // through `par_map`'s results.
+    let failed = AtomicBool::new(false);
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let (spec, horizons, queues) = (&spec, &horizons, &queues);
-            let (budget, steps, ran) = (&budget, &steps, &ran);
-            let (failed, checkpoint) = (&failed, &checkpoint);
-            scope.spawn(move || loop {
-                if failed.lock().expect("error slot lock").is_some() {
-                    return;
-                }
-                if budget
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-                    .is_err()
-                {
-                    return;
-                }
-                // Own work from the front; steal from the back of the
-                // most loaded victim.
-                let mut shard = queues[me].lock().expect("deque lock").pop_front();
-                if shard.is_none() {
-                    for offset in 1..workers {
-                        let victim = (me + offset) % workers;
-                        shard = queues[victim].lock().expect("deque lock").pop_back();
-                        if shard.is_some() {
-                            break;
-                        }
-                    }
-                }
-                let Some(shard) = shard else { return };
-                let cfg = spec.config_for(shard.cores);
-                let horizon = horizons[&shard.cores];
-                let result = run_shard(&cfg, horizon, shard.index)
-                    .map_err(CampaignError::from)
-                    .and_then(|outcome| {
-                        check_outcome(shard, &outcome)?;
-                        manifest::write_atomic(
-                            &manifest::shard_path(dir, shard.id),
-                            &(shard_line(shard, &outcome) + "\n"),
-                        )?;
-                        // Checkpoint strictly after the shard file is
-                        // durable (see crate::manifest's write rules).
-                        let mut m = checkpoint.lock().expect("manifest lock");
-                        m.mark_done(shard.id);
-                        manifest::store(dir, &m)?;
-                        Ok(outcome.engine_steps)
-                    });
-                match result {
-                    Ok(shard_steps) => {
-                        steps.fetch_add(shard_steps, Ordering::Relaxed);
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        failed.lock().expect("error slot lock").get_or_insert(e);
-                        return;
-                    }
-                }
-            });
+    let results = par_map(&pending, workers, |&shard| {
+        if failed.load(Ordering::Relaxed) {
+            return None;
         }
+        let result = run_one(shard);
+        failed.fetch_or(result.is_err(), Ordering::Relaxed);
+        Some(result)
     });
-    let wall_s = start.elapsed().as_secs_f64();
-
-    if let Some(e) = failed.into_inner().expect("error slot lock") {
-        return Err(e);
-    }
-    let done = checkpoint.into_inner().expect("manifest lock").done().len();
-    Ok(RunSummary {
-        ran: ran.into_inner(),
+    let mut summary = RunSummary {
+        ran: 0,
         skipped,
-        remaining: total - done,
-        engine_steps: steps.into_inner(),
-        wall_s,
-    })
+        remaining: total - skipped,
+        engine_steps: 0,
+        wall_s: start.elapsed().as_secs_f64(),
+    };
+    // In id order, so the first error is the lowest-id one.
+    for steps in results.into_iter().flatten() {
+        summary.engine_steps += steps?;
+        summary.ran += 1;
+        summary.remaining -= 1;
+    }
+    Ok(summary)
 }
 
 /// Concatenates every shard artifact in id order into `out`
@@ -414,6 +371,82 @@ mod tests {
             Err(CampaignError::Incomplete { done: 1, total: 3 }) => {}
             other => panic!("expected Incomplete, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn max_shards_runs_the_first_pending_shards_in_id_order() {
+        let spec = JobSpec {
+            shards_per_config: 6,
+            ..tiny_spec()
+        };
+        for workers in 1..=3 {
+            let dir = campaign_dir(&format!("first_n_{workers}"));
+            submit(&dir, &spec).unwrap();
+            let summary = run(&dir, workers, Some(3)).unwrap();
+            assert_eq!((summary.ran, summary.remaining), (3, 3));
+            let manifest = manifest::load_or_default(&dir).unwrap();
+            let done: Vec<usize> = manifest.done().iter().copied().collect();
+            assert_eq!(done, [0, 1, 2], "{workers} workers");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_failing_checkpoint_stops_the_run_and_resumes_to_the_reference() {
+        let reference_dir = campaign_dir("ckpt_reference");
+        submit(&reference_dir, &tiny_spec()).unwrap();
+        run(&reference_dir, 2, None).unwrap();
+        merge(&reference_dir, &merged_path(&reference_dir)).unwrap();
+        let reference = std::fs::read_to_string(merged_path(&reference_dir)).unwrap();
+        let _ = std::fs::remove_dir_all(&reference_dir);
+
+        let dir = campaign_dir("ckpt_fail");
+        submit(&dir, &tiny_spec()).unwrap();
+        // A directory squatting on the manifest's tmp name makes every
+        // checkpoint fail after its shard file is written.
+        let squatter = dir.join("manifest.json.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        let workers = 2;
+        match run(&dir, workers, None) {
+            Err(CampaignError::Io { path, .. }) => {
+                assert!(path.ends_with("manifest.json.tmp"), "{path}");
+            }
+            other => panic!("expected the checkpoint's Io error, got {other:?}"),
+        }
+        let written = std::fs::read_dir(manifest::shards_dir(&dir))
+            .unwrap()
+            .count();
+        assert!(
+            (1..=workers).contains(&written),
+            "{written} shard files for {workers} workers"
+        );
+
+        std::fs::remove_dir(&squatter).unwrap();
+        let resumed = run(&dir, workers, None).unwrap();
+        assert_eq!((resumed.skipped, resumed.remaining), (written, 0));
+        merge(&dir, &merged_path(&dir)).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(merged_path(&dir)).unwrap(),
+            reference
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn done_ids_past_the_spec_are_a_typed_error_everywhere() {
+        let dir = campaign_dir("past_range");
+        submit(&dir, &tiny_spec()).unwrap();
+        std::fs::write(
+            manifest::manifest_path(&dir),
+            "{\"version\": 1, \"done\": [0, 1, 7, 9]}\n",
+        )
+        .unwrap();
+        let names_shard_7 =
+            |e: CampaignError| matches!(&e, CampaignError::Spec(msg) if msg.contains("shard 7"));
+        assert!(names_shard_7(status(&dir).unwrap_err()));
+        assert!(names_shard_7(run(&dir, 2, None).unwrap_err()));
+        assert!(names_shard_7(merge(&dir, &merged_path(&dir)).unwrap_err()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

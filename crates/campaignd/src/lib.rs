@@ -1,16 +1,20 @@
 //! # flexstep-campaignd
 //!
-//! Resumable, work-stealing fault-injection campaign engine for the
-//! FlexStep reproduction — the subsystem that turns the single-process
+//! Resumable fault-injection campaign engine for the FlexStep
+//! reproduction — the subsystem that turns the single-process
 //! Fig. 7/Fig. 8 campaigns into long-running, interruptible jobs.
 //!
 //! A campaign is described once by a versioned [`JobSpec`] (a grid of
 //! SoC sizes × shards × seeds × recovery policy), expanded into a
-//! deterministic [`Shard`] list, and drained by a pool of work-stealing
-//! workers ([`engine::run`]). Progress is checkpointed after every
-//! shard (atomic `manifest.json` + one `shard-NNNN.jsonl` artifact per
-//! shard), so the process can be killed — including `SIGKILL` — at any
-//! instant and resumed to the *same* merged artifact, byte for byte:
+//! deterministic [`Shard`] list, and drained by [`engine::run`] on the
+//! shared campaign executor [`flexstep_bench::par_map`]: each worker
+//! claims the next pending shard, in id order, from one shared counter.
+//! `--max-shards N` runs the first `N` pending shards, and a failed run
+//! returns the error of its lowest-id failed shard. Progress is
+//! checkpointed after every shard (atomic `manifest.json` + one
+//! `shard-NNNN.jsonl` artifact per shard), so the process can be killed
+//! — including `SIGKILL` — at any instant and resumed to the *same*
+//! merged artifact, byte for byte:
 //! shard outcomes are pure functions of `(spec, shard id)`, riding the
 //! `Send`-able [`flexstep_core::harness::VerifiedRun`] and the same
 //! `derive_stream` chunk seeding as

@@ -162,9 +162,15 @@ pub fn load_or_default(dir: &Path) -> Result<Manifest, CampaignError> {
 /// # Errors
 ///
 /// Returns [`CampaignError::Io`] on directory or file I/O failure, or
-/// [`CampaignError::Spec`] on a malformed manifest.
+/// [`CampaignError::Spec`] on a malformed manifest or one that records
+/// a shard id past the spec's `total_shards`.
 pub fn reconcile(dir: &Path, total_shards: usize) -> Result<Manifest, CampaignError> {
     let mut manifest = load_or_default(dir)?;
+    if let Some(id) = manifest.done.range(total_shards..).next() {
+        return Err(CampaignError::Spec(format!(
+            "manifest.json records shard {id}, but the spec has only {total_shards} shards"
+        )));
+    }
     let shards = shards_dir(dir);
     std::fs::create_dir_all(&shards).map_err(|e| CampaignError::io(&shards, e))?;
     let entries = std::fs::read_dir(&shards).map_err(|e| CampaignError::io(&shards, e))?;

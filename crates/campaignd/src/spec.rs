@@ -70,8 +70,8 @@ pub struct Shard {
 
 impl JobSpec {
     /// A small smoke-test campaign: one 8-core configuration, 12
-    /// shards, 4 shots each — enough shards to exercise work stealing
-    /// and interrupt/resume, small enough for CI.
+    /// shards, 4 shots each — enough shards to keep several workers
+    /// busy and to exercise interrupt/resume, small enough for CI.
     pub fn quick() -> Self {
         JobSpec {
             name: "quick".to_string(),

@@ -115,7 +115,8 @@ pub fn sweep(
         for s in 0..sets_per_point {
             // Seed from the utilisation *value* (not the slice index) so
             // a sweep over [a, b] and two single-point sweeps draw the
-            // same task sets — sweep_parallel relies on this.
+            // same task sets — the `fig5` binary maps single-point
+            // sweeps over the axis in parallel and relies on this.
             let mut rng =
                 StdRng::seed_from_u64(seed ^ u.to_bits().rotate_left(17) ^ (s as u64) << 24);
             let params = GenParams::fig5(config.n, u * config.m as f64, config.alpha, config.beta);
@@ -139,28 +140,6 @@ pub fn sweep(
         });
     }
     out
-}
-
-/// Runs a sweep with per-utilisation-point parallelism (the Fig. 5 grid
-/// is embarrassingly parallel).
-pub fn sweep_parallel(
-    config: &Fig5Config,
-    utils: &[f64],
-    sets_per_point: usize,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let mut out: Vec<Option<SweepPoint>> = vec![None; utils.len()];
-    std::thread::scope(|scope| {
-        for (slot, &u) in out.iter_mut().zip(utils) {
-            let config = *config;
-            scope.spawn(move || {
-                *slot = Some(sweep(&config, &[u], sets_per_point, seed)[0]);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|p| p.expect("all points computed"))
-        .collect()
 }
 
 /// The paper's x-axis: 0.35 to 0.95 in steps of 0.05.
@@ -194,16 +173,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn single_point_sweeps_equal_one_sweep_over_both_points() {
         let cfg = Fig5Config {
             m: 4,
             n: 24,
             alpha: 0.125,
             beta: 0.125,
         };
-        let a = sweep(&cfg, &[0.5, 0.8], 30, 7);
-        let b = sweep_parallel(&cfg, &[0.5, 0.8], 30, 7);
-        assert_eq!(a, b);
+        let both = sweep(&cfg, &[0.5, 0.8], 30, 7);
+        let single = [sweep(&cfg, &[0.5], 30, 7)[0], sweep(&cfg, &[0.8], 30, 7)[0]];
+        assert_eq!(both, single);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod partition;
 pub mod uunifast;
 
 pub use des::{simulate_partition, total_misses, CoreSimResult};
-pub use experiment::{paper_utilization_axis, sweep, sweep_parallel, Fig5Config, SweepPoint};
+pub use experiment::{paper_utilization_axis, sweep, Fig5Config, SweepPoint};
 pub use model::{densities, virtual_deadline, ReliabilityClass, SpTask, TaskSet, VdPolicy};
 pub use pairing::{criticality_plan, mode_for_class, CriticalityPlan};
 pub use partition::{
