@@ -7,9 +7,22 @@
 //! interleaves ready cores, executes the scenario's fault plan, feeds
 //! observers, and produces a [`RunReport`]. Construct runs with
 //! [`Scenario`](crate::Scenario).
+//!
+//! This module holds the run, its build and the dispatch loop
+//! ([`VerifiedRun::step_once`]). Three children own the rest, each with
+//! its state private behind one method per transition: `report` (the
+//! [`RunReport`] and its JSON), `recovery` (rollback and checker loss)
+//! and `policy` (coverage accounting, dynamic pairing, the lockstep wait
+//! gate and per-slot [`ModeStats`]).
+
+mod policy;
+mod recovery;
+mod report;
+
+pub use report::{MainReport, MatchedDetection, ModeStats, RunReport, RunWarning};
 
 use crate::checker::{CheckPhase, CheckerState};
-use crate::detect::{DetectionEvent, SegmentResult};
+use crate::detect::SegmentResult;
 use crate::engine::{EngineStep, FlexSoc};
 use crate::fabric::{Fabric, FabricConfig};
 use crate::scenario::{
@@ -21,345 +34,10 @@ use crate::trace::TraceObserver;
 use flexstep_isa::asm::Program;
 use flexstep_mem::cache::CacheGeometryError;
 use flexstep_sim::{
-    ArchSnapshot, Clock, PairingAction, PairingEvent, PairingSchedule, PrivMode, ReliabilityMode,
-    Soc, SocConfig, StepKind, TrapCause,
+    Clock, PairingSchedule, PrivMode, ReliabilityMode, Soc, SocConfig, StepKind, TrapCause,
 };
-use std::collections::VecDeque;
-
-/// Per-main-core outcome of a verified run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MainReport {
-    /// The main core index.
-    pub core: usize,
-    /// Whether this main reached its final `ecall`.
-    pub completed: bool,
-    /// Cycle at which this main finished (0 if it did not).
-    pub finish_cycle: u64,
-    /// Instructions retired by this main (re-executions included).
-    pub retired: u64,
-    /// Rollback recoveries performed on this main
-    /// ([`RecoveryPolicy::Rollback`] only; 0 under `Detect`).
-    pub recoveries: u64,
-    /// Detections this main could not recover from (retry budget
-    /// exhausted or no rollback anchor available).
-    pub unrecovered: u64,
-    /// Cycles of discarded forward progress across all rollbacks
-    /// (segment-open to rollback, per recovery).
-    pub wasted_cycles: u64,
-    /// Per-recovery detection → verified-again latency, in cycles, in
-    /// completion order.
-    pub recovery_latency_cycles: Vec<u64>,
-}
-
-/// A typed, non-fatal condition raised during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RunWarning {
-    /// A main core lost every checker (permanent failures) and degraded
-    /// to unchecked execution from `from_cycle` on.
-    UncheckedExecution {
-        /// The degraded main core.
-        main: usize,
-        /// Cycle from which execution is unverified.
-        from_cycle: u64,
-    },
-    /// A main exhausted [`RecoveryPolicy::Rollback`]'s `max_retries`
-    /// consecutive rollbacks (or had no anchor to roll back to); the
-    /// detection at `at_cycle` was recorded detect-only.
-    RetriesExhausted {
-        /// The unrecovered main core.
-        main: usize,
-        /// Segment whose detection went unrecovered.
-        seq: u64,
-        /// Cycle of the unrecovered detection.
-        at_cycle: u64,
-    },
-    /// An armed fault shot expired while its target main was running
-    /// unchecked *by policy* ([`ReliabilityMode::Unchecked`], or inside
-    /// a pairing-released window): the corruption window closed with no
-    /// checker to observe it. Policy-unchecked windows must never
-    /// swallow shots silently.
-    ShotInUncheckedWindow {
-        /// The policy-unchecked main core.
-        main: usize,
-        /// Cycle of the expiry.
-        at_cycle: u64,
-    },
-}
-
-/// Per-main-slot reliability-policy accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModeStats {
-    /// The main core index.
-    pub core: usize,
-    /// The slot's configured reliability mode.
-    pub mode: ReliabilityMode,
-    /// Cycles this slot executed with a live checker channel.
-    pub checked_cycles: u64,
-    /// Cycles this slot executed unchecked (mode, released window, or
-    /// checker-loss degradation).
-    pub unchecked_cycles: u64,
-    /// Cycles this main stalled extracting checkpoints (SCP on open
-    /// plus IC/ECP on close) — the per-mode checkpoint overhead.
-    pub checkpoint_stall_cycles: u64,
-    /// Pairing-policy checker acquires applied on this slot.
-    pub acquires: u64,
-    /// Pairing-policy checker releases applied on this slot.
-    pub releases: u64,
-    /// Matched detections attributed to this slot
-    /// ([`RunReport::matched_detections`]).
-    pub detections: u64,
-    /// Sum of this slot's matched detection latencies, in cycles.
-    pub detection_latency_total: u64,
-}
-
-impl ModeStats {
-    /// Checked fraction of this slot's executed cycles (1.0 for a
-    /// checked slot that never ran, 0.0 for an unchecked one).
-    pub fn coverage(&self) -> f64 {
-        let total = self.checked_cycles + self.unchecked_cycles;
-        if total == 0 {
-            return if self.mode.is_checked() { 1.0 } else { 0.0 };
-        }
-        self.checked_cycles as f64 / total as f64
-    }
-
-    /// Mean matched detection latency, in cycles.
-    pub fn mean_detection_latency(&self) -> Option<f64> {
-        (self.detections > 0).then(|| self.detection_latency_total as f64 / self.detections as f64)
-    }
-}
-
-/// Outcome of a verified run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Whether every main core reached its final `ecall` within the step
-    /// budget.
-    pub completed: bool,
-    /// Cycle at which the last main core finished (excludes checker
-    /// drain).
-    pub main_finish_cycle: u64,
-    /// Cycle at which the last checker drained.
-    pub drain_cycle: u64,
-    /// Instructions retired across all main cores.
-    pub retired: u64,
-    /// Segments verified across all checkers.
-    pub segments_checked: u64,
-    /// Segments that failed verification.
-    pub segments_failed: u64,
-    /// Detection events raised during the run.
-    pub detections: Vec<DetectionEvent>,
-    /// Backpressure stalls suffered by main cores.
-    pub backpressure_stalls: u64,
-    /// Engine steps executed over the run's lifetime (throughput
-    /// accounting for the perf harness), weighted by block size: a main
-    /// block or checker replay block counts one step per instruction, so
-    /// this exceeds the number of [`VerifiedRun::step_once`] dispatches
-    /// that [`VerifiedRun::run_to_completion`]'s bound counts.
-    pub engine_steps: u64,
-    /// Per-main outcomes, in channel order.
-    pub per_main: Vec<MainReport>,
-    /// Arbitration statistics, one entry per shared checker (empty for
-    /// dedicated topologies).
-    pub arbiters: Vec<ArbiterStats>,
-    /// Fault-plan injections that landed during the run.
-    pub injections: Vec<Injection>,
-    /// Shots the fault plan scheduled (armed). Always
-    /// `injections.len() <= shots_armed`.
-    pub shots_armed: u64,
-    /// Armed shots that expired without landing: their target stream
-    /// drained for good, or the run completed before their arming cycle.
-    /// They never appear in [`RunReport::injections`].
-    pub shots_expired: u64,
-    /// Checker cores permanently failed by
-    /// [`FaultPlan::kill_checker_at`] shots that fired.
-    pub checkers_lost: u64,
-    /// Re-pair latency of each orphaned main that was re-granted a
-    /// surviving checker, in cycles from the kill to the new grant.
-    pub repair_latency_cycles: Vec<u64>,
-    /// Non-fatal degradation conditions raised during the run.
-    pub warnings: Vec<RunWarning>,
-    /// Per-slot reliability-policy accounting, in channel order.
-    pub mode_stats: Vec<ModeStats>,
-}
-
-/// One (injection, detection) pair produced by the one-to-one
-/// attribution of [`RunReport::matched_detections`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchedDetection {
-    /// The main core whose stream was corrupted and caught.
-    pub main_core: usize,
-    /// The checker core that raised the detection — in shared-checker
-    /// topologies this identifies the pool member, so per-pool latency
-    /// splits are computable.
-    pub checker_core: usize,
-    /// Cycle at which the injection landed.
-    pub injected_at: u64,
-    /// Cycle at which the checker flagged the mismatch.
-    pub detected_at: u64,
-}
-
-impl MatchedDetection {
-    /// Error-detection latency of this pair, in cycles.
-    pub fn latency_cycles(&self) -> u64 {
-        self.detected_at - self.injected_at
-    }
-}
-
-impl RunReport {
-    /// Pairs injections and detections one-to-one: each detection is
-    /// attributed to the *earliest unconsumed* preceding injection on
-    /// the same main core, and each injection is consumed by at most
-    /// one detection.
-    ///
-    /// This is the campaign attribution rule (DESIGN.md §10). The naive
-    /// latest-preceding rule double-counts in dense campaigns — two
-    /// detections after one injection yield two "matches", so
-    /// `detected` can exceed `injected` and latencies collapse toward
-    /// the newest shot. Consumption makes `matched_detections().len()
-    /// <= injections.len()` hold by construction.
-    ///
-    /// Runs in `O(n log n + m log m)` over `n` injections and `m`
-    /// detections. Pairs are returned in detection-time order.
-    pub fn matched_detections(&self) -> Vec<MatchedDetection> {
-        use std::collections::HashMap;
-        // Per-main injection cycles in time order, with a cursor at the
-        // earliest unconsumed shot.
-        let mut pending: HashMap<usize, (Vec<u64>, usize)> = HashMap::new();
-        for i in &self.injections {
-            pending.entry(i.main_core).or_default().0.push(i.at_cycle);
-        }
-        for (cycles, _) in pending.values_mut() {
-            cycles.sort_unstable();
-        }
-        let mut order: Vec<&DetectionEvent> = self.detections.iter().collect();
-        order.sort_by_key(|d| d.detected_at);
-        let mut out = Vec::new();
-        for d in order {
-            let Some((cycles, cursor)) = pending.get_mut(&d.main_core) else {
-                continue;
-            };
-            if *cursor < cycles.len() && cycles[*cursor] <= d.detected_at {
-                out.push(MatchedDetection {
-                    main_core: d.main_core,
-                    checker_core: d.checker_core,
-                    injected_at: cycles[*cursor],
-                    detected_at: d.detected_at,
-                });
-                *cursor += 1;
-            }
-        }
-        out
-    }
-
-    /// Renders the report as a JSON object (hand-rolled; see
-    /// [`json`](crate::json)).
-    pub fn to_json(&self) -> String {
-        use crate::json::{array, numbers_u64, JsonObject};
-        let mains = array(self.per_main.iter().map(|m| {
-            let mut o = JsonObject::new();
-            o.field_u64("core", m.core as u64)
-                .field_bool("completed", m.completed)
-                .field_u64("finish_cycle", m.finish_cycle)
-                .field_u64("retired", m.retired)
-                .field_u64("recoveries", m.recoveries)
-                .field_u64("unrecovered", m.unrecovered)
-                .field_u64("wasted_cycles", m.wasted_cycles)
-                .field_raw(
-                    "recovery_latency_cycles",
-                    &numbers_u64(m.recovery_latency_cycles.iter().copied()),
-                );
-            o.finish()
-        }));
-        let warnings = array(self.warnings.iter().map(|w| {
-            let mut o = JsonObject::new();
-            match w {
-                RunWarning::UncheckedExecution { main, from_cycle } => {
-                    o.field_str("kind", "unchecked_execution")
-                        .field_u64("main", *main as u64)
-                        .field_u64("from_cycle", *from_cycle);
-                }
-                RunWarning::RetriesExhausted {
-                    main,
-                    seq,
-                    at_cycle,
-                } => {
-                    o.field_str("kind", "retries_exhausted")
-                        .field_u64("main", *main as u64)
-                        .field_u64("seq", *seq)
-                        .field_u64("at_cycle", *at_cycle);
-                }
-                RunWarning::ShotInUncheckedWindow { main, at_cycle } => {
-                    o.field_str("kind", "shot_in_unchecked_window")
-                        .field_u64("main", *main as u64)
-                        .field_u64("at_cycle", *at_cycle);
-                }
-            }
-            o.finish()
-        }));
-        let arbiters = array(self.arbiters.iter().map(|a| {
-            let mut o = JsonObject::new();
-            o.field_u64("immediate_grants", a.immediate_grants)
-                .field_u64("conflicts", a.conflicts)
-                .field_u64("switches", a.switches);
-            o.finish()
-        }));
-        let detections = array(self.detections.iter().map(|d| {
-            let mut o = JsonObject::new();
-            o.field_u64("main_core", d.main_core as u64)
-                .field_u64("checker_core", d.checker_core as u64)
-                .field_u64("segment_seq", d.segment_seq)
-                .field_u64("tag", d.tag)
-                .field_str("kind", &d.kind.to_string())
-                .field_u64("detected_at", d.detected_at);
-            o.finish()
-        }));
-        let injections = array(self.injections.iter().map(|i| {
-            let mut o = JsonObject::new();
-            o.field_u64("main_core", i.main_core as u64)
-                .field_str("target", &i.target.to_string())
-                .field_array("bits", i.bits.iter().map(u32::to_string))
-                .field_u64("at_cycle", i.at_cycle);
-            o.finish()
-        }));
-        let modes = array(self.mode_stats.iter().map(|m| {
-            let mut o = JsonObject::new();
-            o.field_u64("core", m.core as u64)
-                .field_str("mode", m.mode.label())
-                .field_u64("checked_cycles", m.checked_cycles)
-                .field_u64("unchecked_cycles", m.unchecked_cycles)
-                .field_u64("checkpoint_stall_cycles", m.checkpoint_stall_cycles)
-                .field_u64("acquires", m.acquires)
-                .field_u64("releases", m.releases)
-                .field_u64("detections", m.detections)
-                .field_u64("detection_latency_total", m.detection_latency_total);
-            o.finish()
-        }));
-        let mut o = JsonObject::new();
-        o.field_bool("completed", self.completed)
-            .field_u64("main_finish_cycle", self.main_finish_cycle)
-            .field_u64("drain_cycle", self.drain_cycle)
-            .field_u64("retired", self.retired)
-            .field_u64("segments_checked", self.segments_checked)
-            .field_u64("segments_failed", self.segments_failed)
-            .field_u64("backpressure_stalls", self.backpressure_stalls)
-            .field_u64("engine_steps", self.engine_steps)
-            .field_u64("shots_armed", self.shots_armed)
-            .field_u64("shots_expired", self.shots_expired)
-            .field_u64("checkers_lost", self.checkers_lost)
-            .field_raw(
-                "repair_latency_cycles",
-                &crate::json::numbers_u64(self.repair_latency_cycles.iter().copied()),
-            )
-            .field_raw("warnings", &warnings)
-            .field_raw("per_main", &mains)
-            .field_raw("arbiters", &arbiters)
-            .field_raw("detections", &detections)
-            .field_raw("injections", &injections)
-            .field_raw("mode_stats", &modes);
-        o.finish()
-    }
-}
+use policy::{Coverage, PairingRuntime, LOCKSTEP_WAIT_QUANTUM};
+use recovery::RecoveryState;
 
 /// A verified-execution driver over any scenario topology.
 ///
@@ -438,133 +116,6 @@ pub struct VerifiedRun {
     #[cfg(test)]
     single_step: bool,
 }
-
-/// Runtime state of a [`PairingSchedule`] being executed against the
-/// arbiters: the sorted event list plus per-slot pending actions.
-#[derive(Debug)]
-struct PairingRuntime {
-    /// Schedule events, sorted by cycle.
-    events: Vec<PairingEvent>,
-    /// Cursor into `events` (everything before it is already pending or
-    /// applied).
-    next: usize,
-    /// Per slot: a due action not yet applied. Releases defer to the
-    /// next segment boundary; a later due event overrides an earlier
-    /// one still pending.
-    pending: Vec<Option<PairingAction>>,
-    /// Per slot: currently policy-released (running unchecked until the
-    /// next acquire).
-    released: Vec<bool>,
-    /// Per slot: `(acquires, releases)` applied so far.
-    counts: Vec<(u64, u64)>,
-}
-
-/// Checked/unchecked cycle accumulator for one main slot. Interval
-/// arithmetic over transitions: `since` marks the start of the current
-/// interval, `live` which bucket it lands in. Freezing at the main's
-/// finish keeps checker-drain cycles out of both buckets.
-#[derive(Debug, Clone, Copy)]
-struct Coverage {
-    checked: u64,
-    unchecked: u64,
-    since: u64,
-    live: bool,
-    frozen: bool,
-}
-
-impl Coverage {
-    /// Closes the current interval at `now` and starts the next with
-    /// the given liveness. No-op once frozen.
-    fn transition(&mut self, now: u64, live: bool) {
-        if self.frozen {
-            return;
-        }
-        let d = now.saturating_sub(self.since);
-        if self.live {
-            self.checked += d;
-        } else {
-            self.unchecked += d;
-        }
-        self.since = now;
-        self.live = live;
-    }
-
-    /// The `(checked, unchecked)` totals with the open interval settled
-    /// at `now`.
-    fn settled(mut self, now: u64) -> (u64, u64) {
-        let live = self.live;
-        self.transition(now, live);
-        (self.checked, self.unchecked)
-    }
-}
-
-/// Rollback bookkeeping for every main (only allocated under
-/// [`RecoveryPolicy::Rollback`]).
-#[derive(Debug)]
-struct RecoveryState {
-    max_retries: u32,
-    slots: Vec<RecoverySlot>,
-}
-
-/// One rollback anchor: everything needed to restart a main at a
-/// checking-segment boundary. Captured when the segment opens — the SCP
-/// snapshot *is* the boundary state, and the journal mark brackets the
-/// stores the re-execution must undo.
-#[derive(Debug)]
-struct Anchor {
-    seq: u64,
-    snapshot: ArchSnapshot,
-    journal_mark: u64,
-    open_cycle: u64,
-}
-
-#[derive(Debug, Default)]
-struct RecoverySlot {
-    /// Anchors of segments without a verdict yet, oldest first.
-    anchors: VecDeque<Anchor>,
-    /// Per consumer index: highest segment seq with a verdict (clean or
-    /// failed). Anchors retire once *every* consumer has resolved them.
-    resolved: Vec<Option<u64>>,
-    /// Detection cycle of the in-flight recovery, until a segment
-    /// verifies clean again.
-    pending_since: Option<u64>,
-    /// Consecutive rollbacks without an intervening clean verdict.
-    consecutive: u32,
-    /// Memo block: the re-executed stream must be replayed for real
-    /// until it verifies clean (DESIGN.md §14).
-    blocked: bool,
-    recoveries: u64,
-    unrecovered: u64,
-    wasted_cycles: u64,
-    latencies: Vec<u64>,
-}
-
-impl RecoverySlot {
-    /// Retires every anchor all consumers have resolved and returns the
-    /// journal mark memory can be truncated to (`u64::MAX` = everything;
-    /// the caller clamps to the live mark).
-    fn retire_resolved(&mut self) -> Option<u64> {
-        // An anchor can only retire once every consumer has issued a
-        // verdict for its segment.
-        let mut min = u64::MAX;
-        for r in &self.resolved {
-            min = min.min((*r)?);
-        }
-        let mut truncate_to = None;
-        while let Some(front) = self.anchors.front() {
-            if front.seq > min {
-                break;
-            }
-            self.anchors.pop_front();
-            truncate_to = Some(match self.anchors.front() {
-                Some(next) => next.journal_mark,
-                None => u64::MAX,
-            });
-        }
-        truncate_to
-    }
-}
-
 impl std::fmt::Debug for VerifiedRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifiedRun")
@@ -586,14 +137,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<VerifiedRun>();
 };
-
-/// Wait-poll granularity for a [`ReliabilityMode::FullLockstep`] main
-/// holding at a checkpoint: the main re-checks its verdict every this
-/// many cycles while a complete segment sits unverified in its FIFO.
-/// Small enough that detection follows the checker's verdict almost
-/// immediately; large enough not to dominate the ready queue.
-const LOCKSTEP_WAIT_QUANTUM: u64 = 8;
-
 impl VerifiedRun {
     /// Builds the platform from a validated scenario (called by
     /// [`Scenario::build`]).
@@ -692,40 +235,18 @@ impl VerifiedRun {
         let recovery = match recovery_policy {
             RecoveryPolicy::Detect => None,
             RecoveryPolicy::Rollback { max_retries } => {
-                let slots = binding
-                    .iter()
-                    .map(|b| RecoverySlot {
-                        resolved: match b {
-                            Binding::Dedicated(cs) => vec![None; cs.len()],
-                            Binding::Shared(_) => vec![None; 1],
-                        },
-                        ..RecoverySlot::default()
-                    })
-                    .collect();
                 for &m in &mains {
                     fs.soc.mem.enable_journal(m);
                 }
-                Some(RecoveryState { max_retries, slots })
+                Some(RecoveryState::new(max_retries, &binding))
             }
         };
         let num_checkers = checkers.len();
         let coverage = modes
             .iter()
-            .map(|m| Coverage {
-                checked: 0,
-                unchecked: 0,
-                since: 0,
-                live: m.is_checked(),
-                frozen: false,
-            })
+            .map(|m| Coverage::new(m.is_checked()))
             .collect();
-        let pairing = pairing.map(|schedule| PairingRuntime {
-            events: schedule.events().to_vec(),
-            next: 0,
-            pending: vec![None; n],
-            released: vec![false; n],
-            counts: vec![(0, 0); n],
-        });
+        let pairing = pairing.map(|schedule| PairingRuntime::new(&schedule, n));
         let mut run = VerifiedRun {
             fs,
             mains,
@@ -953,540 +474,12 @@ impl VerifiedRun {
         // clean again: its re-execution must be replayed for real, never
         // served a stale cached verdict (DESIGN.md §14).
         if let Some(rec) = &self.recovery {
-            for (slot, s) in rec.slots.iter().enumerate() {
-                if s.blocked {
-                    let main = self.mains[slot];
-                    self.fs.fabric.unit_mut(main).memo_blocked = true;
-                }
+            for slot in rec.blocked_slots() {
+                let main = self.mains[slot];
+                self.fs.fabric.unit_mut(main).memo_blocked = true;
             }
         }
     }
-
-    /// Whether a checker *core* has been killed by a fault shot.
-    fn checker_is_dead(&self, core: usize) -> bool {
-        self.checkers
-            .iter()
-            .position(|&c| c == core)
-            .is_some_and(|i| self.dead_checkers[i])
-    }
-
-    /// Samples the kill → re-grant repair latency when an orphaned main
-    /// gets its replacement checker.
-    fn sample_repair_latency(&mut self, main: usize, now: u64) {
-        if let Some(slot) = self.slot_of[main] {
-            if let Some(killed_at) = self.repair_pending[slot].take() {
-                self.repair_latencies.push(now.saturating_sub(killed_at));
-            }
-        }
-    }
-
-    // ----- dynamic pairing --------------------------------------------------
-
-    /// Applies due pairing-schedule transitions. Releases wait for the
-    /// slot's segment boundary — disabling checking mid-segment would
-    /// abandon the open segment and strand its checker waiting for an
-    /// ECP that never arrives — while acquires apply immediately. A
-    /// later due event for the same slot overrides one still pending.
-    fn drive_pairing(&mut self) {
-        let now = self.fs.soc.now();
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            while p.next < p.events.len() && p.events[p.next].at_cycle <= now {
-                let ev = p.events[p.next];
-                p.pending[ev.slot] = Some(ev.action);
-                p.next += 1;
-            }
-        }
-        for slot in 0..self.mains.len() {
-            let pending = self.pairing.as_ref().expect("pairing runtime").pending[slot];
-            match pending {
-                Some(PairingAction::Release) => self.try_release(slot, now),
-                Some(PairingAction::Acquire) => self.try_acquire(slot, now),
-                None => {}
-            }
-        }
-    }
-
-    /// Applies one pending release if the slot sits at a segment
-    /// boundary; otherwise leaves it pending for the next step.
-    fn try_release(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let already = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        if already || self.done[slot] || !self.fs.fabric.unit(main).checking_enabled {
-            // Nothing to release: finished slots released in their done
-            // handling, degraded slots have no channel left. Drop it.
-            self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
-            return;
-        }
-        if self.fs.fabric.unit(main).tracker.is_open() {
-            return; // not at a boundary yet; retry next step
-        }
-        self.fs.fabric.set_check(main, false).expect("main core");
-        if let Some(arb) = self.arbiter_of[slot] {
-            // Hand the shared checker back: the arbiter completes the
-            // hand-over once the buffered stream drains (buffered
-            // segments are still verified — release stops *production*,
-            // not verification of data already logged).
-            self.arbiters[arb].release(main);
-        }
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.pending[slot] = None;
-            p.released[slot] = true;
-            p.counts[slot].1 += 1;
-        }
-        self.coverage[slot].transition(now, false);
-        self.emit(RunEvent::CheckerReleased { main, cycle: now });
-    }
-
-    /// Applies one pending acquire: re-enables checking and, for shared
-    /// slots, re-enters arbitration — retracting a release the arbiter
-    /// has not consumed yet, or adopting back in after a hand-over.
-    fn try_acquire(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let released = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
-        if !released || self.done[slot] {
-            return;
-        }
-        if let Some(arb) = self.arbiter_of[slot] {
-            self.arbiters[arb].retract_release(main);
-            if !self.arbiters[arb].is_serving(main) {
-                let immediate = self.arbiters[arb]
-                    .adopt(&mut self.fs.fabric, main)
-                    .expect("released main is pending");
-                if immediate {
-                    let checker = self.arbiters[arb].checker();
-                    self.fs.soc.core_mut(checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker,
-                        main,
-                        cycle: now,
-                    });
-                }
-            }
-        }
-        self.fs
-            .fabric
-            .set_check(main, true)
-            .expect("released slot keeps its association");
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.released[slot] = false;
-            p.counts[slot].0 += 1;
-        }
-        self.coverage[slot].transition(now, true);
-        self.emit(RunEvent::CheckerAcquired { main, cycle: now });
-    }
-
-    /// Raises the typed warning when a shot expires while its target
-    /// main runs unchecked *by policy* (mode or released window): such
-    /// shots must never vanish silently.
-    fn note_unchecked_expiry(&mut self, channel: usize, now: u64) {
-        let policy_unchecked = !self.modes[channel].is_checked()
-            || self.pairing.as_ref().is_some_and(|p| p.released[channel]);
-        if policy_unchecked {
-            self.warnings.push(RunWarning::ShotInUncheckedWindow {
-                main: self.mains[channel],
-                at_cycle: now,
-            });
-        }
-    }
-
-    /// Reverses the done-handling of a main that must resume producing
-    /// (rollback recovery re-executes its tail).
-    fn unfinish_if_done(&mut self, slot: usize) {
-        if !self.done[slot] {
-            return;
-        }
-        let main = self.mains[slot];
-        self.done[slot] = false;
-        self.done_count -= 1;
-        self.finish_cycle[slot] = 0;
-        self.fs.soc.core_mut(main).unpark();
-        if self.arbiter_of[slot].is_some() {
-            // Finishing disabled checking; the re-execution needs it back.
-            self.fs.fabric.set_check(main, true).expect("main core");
-        }
-        // Resume coverage accounting where the re-execution resumes; the
-        // finish → rollback gap counts in neither bucket.
-        let now = self.fs.soc.now();
-        let live = self.fs.fabric.unit(main).checking_enabled;
-        let c = &mut self.coverage[slot];
-        c.frozen = false;
-        c.since = now;
-        c.live = live;
-    }
-
-    /// Rolls `main` back to `anchor`: restores the register file from the
-    /// SCP snapshot, undoes its journaled stores, flushes the in-flight
-    /// DBC stream and replay state, and re-arms the core at the segment
-    /// boundary. The architectural restore is charged as an SCP apply.
-    fn apply_rollback(&mut self, slot: usize, anchor: &Anchor) {
-        let main = self.mains[slot];
-        {
-            let core = self.fs.soc.core_mut(main);
-            core.state.restore(&anchor.snapshot);
-            // Checkpoints carry no privilege: checking segments are
-            // user-mode only, so the boundary was user mode.
-            core.state.prv = PrivMode::User;
-            core.reset_replay_uarch();
-            core.clear_reservation();
-        }
-        self.fs.soc.mem.rollback_journal(main, anchor.journal_mark);
-        self.fs.soc.mem.truncate_journal(main, anchor.journal_mark);
-        {
-            let unit = self.fs.fabric.unit_mut(main);
-            // Drops buffered packets and banked fingerprints; the retried
-            // stream re-fingerprints from scratch, so a stale memo entry
-            // can never match it.
-            unit.fifo.reset();
-            if unit.tracker.is_open() {
-                unit.tracker.abandon();
-            }
-        }
-        let checkers: Vec<usize> = self.fs.fabric.checkers_of(main).to_vec();
-        for c in checkers {
-            self.fs.fabric.reset_checker_replay(c);
-        }
-        let cost = self.fs.fabric.config().scp_apply_cycles;
-        self.fs.soc.stall_core(main, cost);
-        self.unfinish_if_done(slot);
-        // A rollback overrides a policy release: the re-execution must
-        // be re-verified, so checking comes back on (shared slots
-        // re-enter arbitration in the caller's retract/adopt path).
-        let was_released = self.pairing.as_ref().is_some_and(|p| p.released[slot]);
-        if was_released {
-            let now = self.fs.soc.now();
-            let _ = self.fs.fabric.set_check(main, true);
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.released[slot] = false;
-            p.pending[slot] = None;
-            self.coverage[slot].transition(now, true);
-        }
-    }
-
-    /// Kill-path re-verification: rolls a main back to its *oldest*
-    /// unresolved segment boundary so a replacement checker re-verifies
-    /// everything the dead one left unverdicted. No-op under
-    /// [`RecoveryPolicy::Detect`] (the unverified tail is dropped — a
-    /// documented coverage loss) or when every segment already resolved.
-    fn rollback_oldest_unresolved(&mut self, slot: usize, now: u64) {
-        let anchor = {
-            let Some(rec) = self.recovery.as_mut() else {
-                return;
-            };
-            let s = &mut rec.slots[slot];
-            let Some(anchor) = s.anchors.pop_front() else {
-                return;
-            };
-            // Later anchors are inside the re-executed region; the retry
-            // regenerates them under fresh seqs.
-            s.anchors.clear();
-            s.wasted_cycles += now.saturating_sub(anchor.open_cycle);
-            anchor
-        };
-        self.apply_rollback(slot, &anchor);
-    }
-
-    /// Degrades a main to unchecked execution (its last checker died):
-    /// checking off, stream flushed, typed warning raised. The run keeps
-    /// completing instead of deadlocking on a channel nobody will drain.
-    fn degrade_unchecked(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let _ = self.fs.fabric.set_check(main, false);
-        self.fs.fabric.unit_mut(main).fifo.reset();
-        self.arbiter_of[slot] = None;
-        self.repair_pending[slot] = None;
-        if let Some(rec) = &mut self.recovery {
-            let s = &mut rec.slots[slot];
-            if s.pending_since.take().is_some() {
-                // An in-flight recovery can never verify clean again.
-                s.unrecovered += 1;
-            }
-            s.anchors.clear();
-            s.blocked = false;
-            let live = self.fs.soc.mem.journal_mark(main);
-            self.fs.soc.mem.truncate_journal(main, live);
-        }
-        self.warnings.push(RunWarning::UncheckedExecution {
-            main,
-            from_cycle: now,
-        });
-        self.coverage[slot].transition(now, false);
-        if let Some(p) = &mut self.pairing {
-            // No channel survives, so future pairing transitions on this
-            // slot are void; the degradation warning above supersedes
-            // the released-window accounting.
-            p.released[slot] = false;
-            p.pending[slot] = None;
-        }
-    }
-
-    /// Handles a fired [`FaultPlan::kill_checker_at`] shot: halts the
-    /// checker core, tears down its channel, and re-pairs the orphaned
-    /// mains onto surviving pool members (or degrades them to unchecked
-    /// execution when none survive).
-    fn kill_checker(&mut self, idx: usize) {
-        if self.dead_checkers[idx] {
-            return;
-        }
-        self.dead_checkers[idx] = true;
-        self.checkers_lost += 1;
-        let checker = self.checkers[idx];
-        let now = self.fs.soc.now();
-        self.fs.soc.core_mut(checker).halt();
-        self.emit(RunEvent::CheckerKilled {
-            checker,
-            cycle: now,
-        });
-        if let Some(ai) = self.arbiters.iter().position(|a| a.checker() == checker) {
-            // Shared pool member: every main it was serving (granted or
-            // queued) re-pairs round-robin onto the survivors.
-            let orphans = self.arbiters[ai].take_orphans();
-            self.fs.fabric.kill_checker(checker);
-            let survivors: Vec<usize> = (0..self.arbiters.len())
-                .filter(|&i| i != ai && !self.checker_is_dead(self.arbiters[i].checker()))
-                .collect();
-            for (k, &orphan) in orphans.iter().enumerate() {
-                let slot = self.slot_of[orphan].expect("orphan is a main");
-                self.rollback_oldest_unresolved(slot, now);
-                if survivors.is_empty() {
-                    self.degrade_unchecked(slot, now);
-                    continue;
-                }
-                let target = survivors[k % survivors.len()];
-                self.arbiter_of[slot] = Some(target);
-                self.repair_pending[slot] = Some(now);
-                let immediate = self.arbiters[target]
-                    .adopt(&mut self.fs.fabric, orphan)
-                    .expect("orphan is pending");
-                if self.done[slot] {
-                    // Still done after the rollback pass: nothing to
-                    // re-execute, only buffered data to drain.
-                    self.arbiters[target].release(orphan);
-                }
-                if immediate {
-                    self.sample_repair_latency(orphan, now);
-                    let new_checker = self.arbiters[target].checker();
-                    self.fs.soc.core_mut(new_checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker: new_checker,
-                        main: orphan,
-                        cycle: now,
-                    });
-                }
-            }
-            // Slots that finished their hand-over (a pairing release or
-            // a finish) before the kill are no orphans, yet still name
-            // the dead arbiter: a later acquire or rollback would adopt
-            // them back onto the dead checker and wait forever.
-            let stale: Vec<usize> = (0..self.mains.len())
-                .filter(|&slot| self.arbiter_of[slot] == Some(ai))
-                .collect();
-            for (k, slot) in stale.into_iter().enumerate() {
-                if !survivors.is_empty() {
-                    let target = survivors[(orphans.len() + k) % survivors.len()];
-                    self.arbiter_of[slot] = Some(target);
-                } else if self.done[slot] {
-                    self.arbiter_of[slot] = None;
-                } else {
-                    self.degrade_unchecked(slot, now);
-                }
-            }
-        } else if let Some((main, survivors)) = self.fs.fabric.kill_checker(checker) {
-            // Dedicated channel: surviving consumers are re-indexed by
-            // the fabric and restart at the next SCP.
-            let slot = self.slot_of[main].expect("channel main");
-            self.rollback_oldest_unresolved(slot, now);
-            if let Some(rec) = &mut self.recovery {
-                // Consumer indices changed; verdict bookkeeping restarts.
-                rec.slots[slot].resolved = vec![None; survivors.max(1)];
-            }
-            if survivors == 0 {
-                self.degrade_unchecked(slot, now);
-            }
-        }
-        self.sync_fault_memo_blocks();
-    }
-
-    /// Rollback-recovery reaction to one engine step: anchors new
-    /// segments, retires verdicted ones, and rolls the faulted main back
-    /// on a detection. Only called under [`RecoveryPolicy::Rollback`].
-    fn handle_recovery_step(&mut self, core: usize, step: &EngineStep) {
-        match step {
-            EngineStep::SegmentOpened => {
-                let Some(slot) = self.slot_of[core] else {
-                    return;
-                };
-                let Some(seq) = self.fs.fabric.unit(core).tracker.open_seq() else {
-                    return;
-                };
-                let snapshot = self.fs.soc.core(core).state.snapshot();
-                let journal_mark = self.fs.soc.mem.journal_mark(core);
-                let open_cycle = self.fs.soc.now();
-                let rec = self.recovery.as_mut().expect("rollback policy");
-                rec.slots[slot].anchors.push_back(Anchor {
-                    seq,
-                    snapshot,
-                    journal_mark,
-                    open_cycle,
-                });
-            }
-            EngineStep::CheckerSegmentDone(result) => {
-                let Some((main, consumer)) = self.fs.fabric.channel_of(core) else {
-                    return;
-                };
-                let Some(slot) = self.slot_of[main] else {
-                    return;
-                };
-                let now = self.fs.soc.now();
-                let live_mark = self.fs.soc.mem.journal_mark(main);
-                let (truncate, completed) = {
-                    let rec = self.recovery.as_mut().expect("rollback policy");
-                    let s = &mut rec.slots[slot];
-                    if consumer < s.resolved.len() {
-                        s.resolved[consumer] =
-                            Some(s.resolved[consumer].map_or(result.seq, |v| v.max(result.seq)));
-                    }
-                    let truncate = s.retire_resolved();
-                    // A clean verdict ends the recovery window: the
-                    // retried stream verified, the retry budget resets,
-                    // and the memo block lifts.
-                    s.consecutive = 0;
-                    let completed = s.pending_since.take().map(|t| now.saturating_sub(t));
-                    if let Some(latency) = completed {
-                        s.latencies.push(latency);
-                        s.blocked = false;
-                    }
-                    (truncate, completed)
-                };
-                if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
-                }
-                if let Some(latency) = completed {
-                    self.emit(RunEvent::RecoveryComplete {
-                        main,
-                        cycle: now,
-                        latency,
-                    });
-                    self.sync_fault_memo_blocks();
-                }
-            }
-            EngineStep::CheckerDetected(event) => {
-                self.handle_detection_recovery(
-                    event.main_core,
-                    event.checker_core,
-                    event.segment_seq,
-                );
-            }
-            _ => {}
-        }
-    }
-
-    /// Rollback-or-exhaust decision for one detection (DESIGN.md §14).
-    fn handle_detection_recovery(&mut self, main: usize, checker: usize, seq: u64) {
-        let now = self.fs.soc.now();
-        let Some(slot) = self.slot_of[main] else {
-            return;
-        };
-        let consumer = self.fs.fabric.channel_of(checker).map(|(_, i)| i);
-        let live_mark = self.fs.soc.mem.journal_mark(main);
-        enum Decision {
-            Roll(Box<Anchor>),
-            Exhausted(Option<u64>),
-        }
-        let decision = {
-            let rec = self.recovery.as_mut().expect("rollback policy");
-            let max_retries = rec.max_retries;
-            let s = &mut rec.slots[slot];
-            let pos = s.anchors.iter().position(|a| a.seq == seq);
-            match pos {
-                Some(i) if s.consecutive < max_retries => {
-                    let anchor = s.anchors.remove(i).expect("position is in range");
-                    // Anchors after (and before) the rollback point
-                    // describe segments whose in-flight data the flush
-                    // destroys; the retry regenerates them under fresh
-                    // seqs, so they can never resolve — drop them.
-                    s.anchors.clear();
-                    s.recoveries += 1;
-                    s.consecutive += 1;
-                    s.blocked = true;
-                    if s.pending_since.is_none() {
-                        // Consecutive retries keep the first detection as
-                        // the latency epoch: detect → verified-again.
-                        s.pending_since = Some(now);
-                    }
-                    s.wasted_cycles += now.saturating_sub(anchor.open_cycle);
-                    Decision::Roll(Box::new(anchor))
-                }
-                _ => {
-                    // Retry budget exhausted (or the anchor is gone):
-                    // record detect-only, like RecoveryPolicy::Detect.
-                    s.unrecovered += 1;
-                    if let Some(i) = consumer {
-                        if i < s.resolved.len() {
-                            s.resolved[i] = Some(s.resolved[i].map_or(seq, |v| v.max(seq)));
-                        }
-                    }
-                    let truncate = s.retire_resolved();
-                    s.pending_since = None;
-                    s.consecutive = 0;
-                    s.blocked = false;
-                    Decision::Exhausted(truncate)
-                }
-            }
-        };
-        match decision {
-            Decision::Roll(anchor) => {
-                self.apply_rollback(slot, &anchor);
-                if let Some(arb) = self.arbiter_of[slot] {
-                    self.arbiters[arb].retract_release(main);
-                    if !self.arbiters[arb].is_serving(main) {
-                        // The grant was revoked before the detection
-                        // landed; re-enter arbitration for the retry.
-                        let _ = self.arbiters[arb].adopt(&mut self.fs.fabric, main);
-                    }
-                }
-                self.emit(RunEvent::RecoveryStart {
-                    main,
-                    seq,
-                    cycle: now,
-                });
-            }
-            Decision::Exhausted(truncate) => {
-                if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
-                }
-                self.warnings.push(RunWarning::RetriesExhausted {
-                    main,
-                    seq,
-                    at_cycle: now,
-                });
-            }
-        }
-        self.sync_fault_memo_blocks();
-    }
-
-    /// Whether `core` is a [`ReliabilityMode::FullLockstep`] main that
-    /// must hold at its checkpoint: a complete segment sits unverified
-    /// in its FIFO and a live checker still owes the verdict. Released,
-    /// degraded or finished slots never wait — there is nobody left to
-    /// wait for.
-    fn lockstep_must_wait(&self, core: usize) -> bool {
-        let Some(slot) = self.slot_of[core] else {
-            return false;
-        };
-        if self.done[slot]
-            || self.modes[slot] != ReliabilityMode::FullLockstep
-            || !self.fs.fabric.checking_live(core)
-        {
-            return false;
-        }
-        let fifo = &self.fs.fabric.unit(core).fifo;
-        (0..fifo.consumers()).any(|c| fifo.complete_segments_ahead(c) >= 1)
-    }
-
     /// How far a block dispatched on `core` may run: no instruction of it
     /// is dispatched at or after this cycle (DESIGN.md §18). For mains
     /// and checkers alike that is the cycle of the next unfired fault
@@ -1505,8 +498,7 @@ impl VerifiedRun {
         let pairing = self
             .pairing
             .as_ref()
-            .and_then(|p| p.events.get(p.next))
-            .map_or(u64::MAX, |e| e.at_cycle);
+            .map_or(u64::MAX, PairingRuntime::next_cycle);
         let timed = self.faults.next_cycle().min(pairing);
         if self.recovery.is_none() {
             return timed;
@@ -1672,9 +664,7 @@ impl VerifiedRun {
                     self.finish_cycle[slot] = now;
                     // Freeze coverage at the finish: drain cycles belong to
                     // neither bucket.
-                    let live = self.coverage[slot].live;
-                    self.coverage[slot].transition(now, live);
-                    self.coverage[slot].frozen = true;
+                    self.coverage[slot].freeze(now);
                     self.fs.soc.core_mut(core).park();
                     if let Some(arb) = self.arbiter_of[slot] {
                         // The job is done: stop producing and let the
@@ -1805,98 +795,6 @@ impl VerifiedRun {
         }
         self.report()
     }
-
-    /// Produces the report for the current state.
-    ///
-    /// Draining: detection events are moved out of the fabric, so a
-    /// second call reports them empty.
-    pub fn report(&mut self) -> RunReport {
-        // A caller may stop stepping the instant the run completes (an
-        // exactly-sized step budget, manual stepping): finalize shot
-        // expiry here too, so the armed/landed/expired accounts balance
-        // regardless of whether step_once observed completion.
-        if self.complete() {
-            self.expire_remaining_shots();
-        }
-        let (mut checked, mut failed) = (0, 0);
-        for &c in &self.checkers {
-            checked += self.fs.fabric.unit(c).checker.segments_checked;
-            failed += self.fs.fabric.unit(c).checker.segments_failed;
-        }
-        let per_main: Vec<MainReport> = self
-            .mains
-            .iter()
-            .enumerate()
-            .map(|(slot, &core)| {
-                let rec = self.recovery.as_ref().map(|r| &r.slots[slot]);
-                MainReport {
-                    core,
-                    completed: self.done[slot],
-                    finish_cycle: self.finish_cycle[slot],
-                    retired: self.fs.soc.core(core).instret,
-                    recoveries: rec.map_or(0, |s| s.recoveries),
-                    unrecovered: rec.map_or(0, |s| s.unrecovered),
-                    wasted_cycles: rec.map_or(0, |s| s.wasted_cycles),
-                    recovery_latency_cycles: rec.map_or_else(Vec::new, |s| s.latencies.clone()),
-                }
-            })
-            .collect();
-        let mut report = RunReport {
-            completed: self.main_done(),
-            main_finish_cycle: per_main.iter().map(|m| m.finish_cycle).max().unwrap_or(0),
-            drain_cycle: self.fs.soc.now(),
-            retired: per_main.iter().map(|m| m.retired).sum(),
-            segments_checked: checked,
-            segments_failed: failed,
-            detections: self.fs.fabric.take_detections(),
-            backpressure_stalls: self.fs.fabric.stats.backpressure_stalls,
-            engine_steps: self.steps,
-            per_main,
-            arbiters: self.arbiters.iter().map(|a| a.stats).collect(),
-            injections: self.injections.clone(),
-            shots_armed: self.faults.armed(),
-            shots_expired: self.faults.expired(),
-            checkers_lost: self.checkers_lost,
-            repair_latency_cycles: self.repair_latencies.clone(),
-            warnings: self.warnings.clone(),
-            mode_stats: Vec::new(),
-        };
-        report.mode_stats = self.collect_mode_stats(&report);
-        report
-    }
-
-    /// Builds the per-slot reliability accounting: coverage intervals
-    /// settled at the current cycle, checkpoint stalls from the fabric,
-    /// and matched-detection latencies attributed per slot.
-    fn collect_mode_stats(&self, report: &RunReport) -> Vec<ModeStats> {
-        let now = self.fs.soc.now();
-        let matched = report.matched_detections();
-        self.mains
-            .iter()
-            .enumerate()
-            .map(|(slot, &core)| {
-                let (checked_cycles, unchecked_cycles) = self.coverage[slot].settled(now);
-                let (acquires, releases) = self.pairing.as_ref().map_or((0, 0), |p| p.counts[slot]);
-                let mut detections = 0;
-                let mut detection_latency_total = 0;
-                for m in matched.iter().filter(|m| m.main_core == core) {
-                    detections += 1;
-                    detection_latency_total += m.latency_cycles();
-                }
-                ModeStats {
-                    core,
-                    mode: self.modes[slot],
-                    checked_cycles,
-                    unchecked_cycles,
-                    checkpoint_stall_cycles: self.fs.fabric.unit(core).cp_stall_cycles,
-                    acquires,
-                    releases,
-                    detections,
-                    detection_latency_total,
-                }
-            })
-            .collect()
-    }
 }
 
 /// Runs `program` unverified on a plain SoC and returns the finish cycle —
@@ -1921,6 +819,7 @@ pub fn baseline_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::DetectionEvent;
     use crate::fault::FaultTarget;
     use crate::scenario::{Scenario, Topology};
     use flexstep_isa::asm::Assembler;
