@@ -283,12 +283,8 @@ impl VerifiedRun {
             .iter()
             .filter_map(|a| a.granted().map(|g| (a.checker(), g)))
             .collect();
-        for (checker, granted) in grants {
-            run.emit(RunEvent::CheckerGranted {
-                checker,
-                main: granted,
-                cycle: 0,
-            });
+        for (checker, main) in grants {
+            run.granted(checker, main, 0);
         }
         Ok(run)
     }
@@ -312,6 +308,23 @@ impl VerifiedRun {
     /// entirely on unobserved runs — the hot campaign path).
     fn observing(&self) -> bool {
         !self.observers.is_empty() || self.trace.is_some() || self.recorded.is_some()
+    }
+
+    /// An arbiter connected `checker` to `main`: wakes the checker (it
+    /// may have parked while its queue was empty), closes a pending
+    /// kill → re-grant repair window, and reports the grant. Every
+    /// grant — at build, on a hand-over, on an acquire or rollback and
+    /// on a re-pair — goes through here.
+    fn granted(&mut self, checker: usize, main: usize, now: u64) {
+        self.fs.soc.core_mut(checker).unpark();
+        if let Some(killed_at) = self.slot_of[main].and_then(|s| self.repair_pending[s].take()) {
+            self.repair_latencies.push(now.saturating_sub(killed_at));
+        }
+        self.emit(RunEvent::CheckerGranted {
+            checker,
+            main,
+            cycle: now,
+        });
     }
 
     // ----- accessors --------------------------------------------------------
@@ -450,9 +463,7 @@ impl VerifiedRun {
     fn expire_remaining_shots(&mut self) {
         let now = self.fs.soc.now();
         for channel in self.faults.expire_remaining() {
-            let main = self.mains[channel];
-            self.note_unchecked_expiry(channel, now);
-            self.emit(RunEvent::ShotExpired { main, cycle: now });
+            self.shot_expired(channel, now);
         }
         self.sync_fault_memo_blocks();
     }
@@ -556,17 +567,9 @@ impl VerifiedRun {
                 grants.push((a.checker(), granted));
             }
         }
-        for (checker, granted) in grants {
-            // A hand-over reconnects the checker; wake it in case it
-            // parked while its queue was empty.
-            self.fs.soc.core_mut(checker).unpark();
+        for (checker, main) in grants {
             let now = self.fs.soc.now();
-            self.sample_repair_latency(granted, now);
-            self.emit(RunEvent::CheckerGranted {
-                checker,
-                main: granted,
-                cycle: now,
-            });
+            self.granted(checker, main, now);
         }
         if self.pairing.is_some() {
             self.drive_pairing();
@@ -585,9 +588,7 @@ impl VerifiedRun {
                 self.injections.push(injection);
             }
             for channel in expired {
-                let main = self.mains[channel];
-                self.note_unchecked_expiry(channel, now);
-                self.emit(RunEvent::ShotExpired { main, cycle: now });
+                self.shot_expired(channel, now);
             }
             for checker_idx in kills {
                 self.kill_checker(checker_idx);

@@ -146,35 +146,35 @@ impl VerifiedRun {
     /// abandon the open segment and strand its checker waiting for an
     /// ECP that never arrives — while acquires apply immediately. A
     /// later due event for the same slot overrides one still pending.
+    /// The runtime is out of the run while the transitions apply.
     pub(super) fn drive_pairing(&mut self) {
+        let Some(mut p) = self.pairing.take() else {
+            return;
+        };
         let now = self.fs.soc.now();
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            while p.next < p.events.len() && p.events[p.next].at_cycle <= now {
-                let ev = p.events[p.next];
-                p.pending[ev.slot] = Some(ev.action);
-                p.next += 1;
-            }
+        while p.next < p.events.len() && p.events[p.next].at_cycle <= now {
+            let ev = p.events[p.next];
+            p.pending[ev.slot] = Some(ev.action);
+            p.next += 1;
         }
         for slot in 0..self.mains.len() {
-            let pending = self.pairing.as_ref().expect("pairing runtime").pending[slot];
-            match pending {
-                Some(PairingAction::Release) => self.try_release(slot, now),
-                Some(PairingAction::Acquire) => self.try_acquire(slot, now),
+            match p.pending[slot] {
+                Some(PairingAction::Release) => self.try_release(&mut p, slot, now),
+                Some(PairingAction::Acquire) => self.try_acquire(&mut p, slot, now),
                 None => {}
             }
         }
+        self.pairing = Some(p);
     }
 
     /// Applies one pending release if the slot sits at a segment
     /// boundary; otherwise leaves it pending for the next step.
-    fn try_release(&mut self, slot: usize, now: u64) {
+    fn try_release(&mut self, p: &mut PairingRuntime, slot: usize, now: u64) {
         let main = self.mains[slot];
-        let already = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        if already || self.done[slot] || !self.fs.fabric.unit(main).checking_enabled {
+        if p.released[slot] || self.done[slot] || !self.fs.fabric.unit(main).checking_enabled {
             // Nothing to release: finished slots released in their done
             // handling, degraded slots have no channel left. Drop it.
-            self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
+            p.pending[slot] = None;
             return;
         }
         if self.fs.fabric.unit(main).tracker.is_open() {
@@ -188,68 +188,67 @@ impl VerifiedRun {
             // not verification of data already logged).
             self.arbiters[arb].release(main);
         }
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.pending[slot] = None;
-            p.released[slot] = true;
-            p.counts[slot].1 += 1;
-        }
+        p.pending[slot] = None;
+        p.released[slot] = true;
+        p.counts[slot].1 += 1;
         self.coverage[slot].transition(now, false);
         self.emit(RunEvent::CheckerReleased { main, cycle: now });
     }
 
     /// Applies one pending acquire: re-enables checking and, for shared
-    /// slots, re-enters arbitration — retracting a release the arbiter
-    /// has not consumed yet, or adopting back in after a hand-over.
-    fn try_acquire(&mut self, slot: usize, now: u64) {
-        let main = self.mains[slot];
-        let released = self.pairing.as_ref().expect("pairing runtime").released[slot];
-        self.pairing.as_mut().expect("pairing runtime").pending[slot] = None;
-        if !released || self.done[slot] {
+    /// slots, re-enters arbitration.
+    fn try_acquire(&mut self, p: &mut PairingRuntime, slot: usize, now: u64) {
+        p.pending[slot] = None;
+        if !p.released[slot] || self.done[slot] {
             return;
         }
-        if let Some(arb) = self.arbiter_of[slot] {
-            self.arbiters[arb].retract_release(main);
-            if !self.arbiters[arb].is_serving(main) {
-                let immediate = self.arbiters[arb]
-                    .adopt(&mut self.fs.fabric, main)
-                    .expect("released main is pending");
-                if immediate {
-                    let checker = self.arbiters[arb].checker();
-                    self.fs.soc.core_mut(checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker,
-                        main,
-                        cycle: now,
-                    });
-                }
-            }
-        }
+        let main = self.mains[slot];
+        self.rejoin_arbiter(slot, now);
         self.fs
             .fabric
             .set_check(main, true)
             .expect("released slot keeps its association");
-        {
-            let p = self.pairing.as_mut().expect("pairing runtime");
-            p.released[slot] = false;
-            p.counts[slot].0 += 1;
-        }
+        p.released[slot] = false;
+        p.counts[slot].0 += 1;
         self.coverage[slot].transition(now, true);
         self.emit(RunEvent::CheckerAcquired { main, cycle: now });
     }
 
-    /// Raises the typed warning when a shot expires while its target
-    /// main runs unchecked *by policy* (mode or released window): such
-    /// shots must never vanish silently.
-    pub(super) fn note_unchecked_expiry(&mut self, channel: usize, now: u64) {
+    /// Re-enters arbitration for a shared slot whose main produces again
+    /// (an acquire, or a rollback's re-execution): retracts a release
+    /// its arbiter has not consumed yet, or adopts the main back in
+    /// after a hand-over.
+    pub(super) fn rejoin_arbiter(&mut self, slot: usize, now: u64) {
+        let Some(arb) = self.arbiter_of[slot] else {
+            return;
+        };
+        let main = self.mains[slot];
+        self.arbiters[arb].retract_release(main);
+        if !self.arbiters[arb].is_serving(main) {
+            let immediate = self.arbiters[arb]
+                .adopt(&mut self.fs.fabric, main)
+                .expect("a main outside its arbiter is pending");
+            if immediate {
+                let checker = self.arbiters[arb].checker();
+                self.granted(checker, main, now);
+            }
+        }
+    }
+
+    /// Reports a shot on `channel` that expired without landing, with
+    /// the typed warning when its main ran unchecked *by policy* (mode
+    /// or released window): such shots must never vanish silently.
+    pub(super) fn shot_expired(&mut self, channel: usize, now: u64) {
+        let main = self.mains[channel];
         let policy_unchecked = !self.modes[channel].is_checked()
             || self.pairing.as_ref().is_some_and(|p| p.released[channel]);
         if policy_unchecked {
             self.warnings.push(RunWarning::ShotInUncheckedWindow {
-                main: self.mains[channel],
+                main,
                 at_cycle: now,
             });
         }
+        self.emit(RunEvent::ShotExpired { main, cycle: now });
     }
 
     /// Whether `core` is a [`ReliabilityMode::FullLockstep`] main that
@@ -274,7 +273,7 @@ impl VerifiedRun {
     /// Builds the per-slot reliability accounting: coverage intervals
     /// settled at the current cycle, checkpoint stalls from the fabric,
     /// and matched-detection latencies attributed per slot.
-    pub(super) fn collect_mode_stats(&self, report: &RunReport) -> Vec<ModeStats> {
+    pub(super) fn mode_stats(&self, report: &RunReport) -> Vec<ModeStats> {
         let now = self.fs.soc.now();
         let matched = report.matched_detections();
         self.mains

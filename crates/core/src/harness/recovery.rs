@@ -84,10 +84,15 @@ impl RecoveryState {
 }
 
 impl RecoverySlot {
-    /// Retires every anchor all consumers have resolved and returns the
-    /// journal mark memory can be truncated to (`u64::MAX` = everything;
-    /// the caller clamps to the live mark).
-    fn retire_resolved(&mut self) -> Option<u64> {
+    /// Records a verdict (clean or failed) on segment `seq` from the
+    /// channel's `consumer` — `None` when the checker is no longer on
+    /// the channel — then retires every anchor all consumers have
+    /// resolved. Returns the journal mark memory can be truncated to
+    /// (`u64::MAX` = everything; the caller clamps to the live mark).
+    fn resolve(&mut self, consumer: Option<usize>, seq: u64) -> Option<u64> {
+        if let Some(r) = consumer.and_then(|i| self.resolved.get_mut(i)) {
+            *r = Some(r.map_or(seq, |v| v.max(seq)));
+        }
         // An anchor can only retire once every consumer has issued a
         // verdict for its segment.
         let mut min = u64::MAX;
@@ -118,13 +123,12 @@ impl VerifiedRun {
             .is_some_and(|i| self.dead_checkers[i])
     }
 
-    /// Samples the kill → re-grant repair latency when an orphaned main
-    /// gets its replacement checker.
-    pub(super) fn sample_repair_latency(&mut self, main: usize, now: u64) {
-        if let Some(slot) = self.slot_of[main] {
-            if let Some(killed_at) = self.repair_pending[slot].take() {
-                self.repair_latencies.push(now.saturating_sub(killed_at));
-            }
+    /// Drops `main`'s store journal up to `mark`, clamped to the live
+    /// mark: stores before it can no longer be rolled back.
+    fn truncate_journal(&mut self, main: usize, mark: Option<u64>) {
+        if let Some(mark) = mark {
+            let live = self.fs.soc.mem.journal_mark(main);
+            self.fs.soc.mem.truncate_journal(main, mark.min(live));
         }
     }
 
@@ -186,7 +190,7 @@ impl VerifiedRun {
         self.unfinish_if_done(slot);
         // A rollback overrides a policy release: the re-execution must
         // be re-verified, so checking comes back on (shared slots
-        // re-enter arbitration in the caller's retract/adopt path).
+        // rejoin their arbiter in the caller, `rejoin_arbiter`).
         if self.pairing.as_mut().is_some_and(|p| p.cancel(slot)) {
             let now = self.fs.soc.now();
             let _ = self.fs.fabric.set_check(main, true);
@@ -234,8 +238,7 @@ impl VerifiedRun {
             }
             s.anchors.clear();
             s.blocked = false;
-            let live = self.fs.soc.mem.journal_mark(main);
-            self.fs.soc.mem.truncate_journal(main, live);
+            self.truncate_journal(main, Some(u64::MAX));
         }
         self.warnings.push(RunWarning::UncheckedExecution {
             main,
@@ -294,14 +297,8 @@ impl VerifiedRun {
                     self.arbiters[target].release(orphan);
                 }
                 if immediate {
-                    self.sample_repair_latency(orphan, now);
                     let new_checker = self.arbiters[target].checker();
-                    self.fs.soc.core_mut(new_checker).unpark();
-                    self.emit(RunEvent::CheckerGranted {
-                        checker: new_checker,
-                        main: orphan,
-                        cycle: now,
-                    });
+                    self.granted(new_checker, orphan, now);
                 }
             }
             // Slots that finished their hand-over (a pairing release or
@@ -368,15 +365,10 @@ impl VerifiedRun {
                     return;
                 };
                 let now = self.fs.soc.now();
-                let live_mark = self.fs.soc.mem.journal_mark(main);
                 let (truncate, completed) = {
                     let rec = self.recovery.as_mut().expect("rollback policy");
                     let s = &mut rec.slots[slot];
-                    if consumer < s.resolved.len() {
-                        s.resolved[consumer] =
-                            Some(s.resolved[consumer].map_or(result.seq, |v| v.max(result.seq)));
-                    }
-                    let truncate = s.retire_resolved();
+                    let truncate = s.resolve(Some(consumer), result.seq);
                     // A clean verdict ends the recovery window: the
                     // retried stream verified, the retry budget resets,
                     // and the memo block lifts.
@@ -388,9 +380,7 @@ impl VerifiedRun {
                     }
                     (truncate, completed)
                 };
-                if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
-                }
+                self.truncate_journal(main, truncate);
                 if let Some(latency) = completed {
                     self.emit(RunEvent::RecoveryComplete {
                         main,
@@ -418,7 +408,6 @@ impl VerifiedRun {
             return;
         };
         let consumer = self.fs.fabric.channel_of(checker).map(|(_, i)| i);
-        let live_mark = self.fs.soc.mem.journal_mark(main);
         enum Decision {
             Roll(Box<Anchor>),
             Exhausted(Option<u64>),
@@ -451,12 +440,7 @@ impl VerifiedRun {
                     // Retry budget exhausted (or the anchor is gone):
                     // record detect-only, like RecoveryPolicy::Detect.
                     s.unrecovered += 1;
-                    if let Some(i) = consumer {
-                        if i < s.resolved.len() {
-                            s.resolved[i] = Some(s.resolved[i].map_or(seq, |v| v.max(seq)));
-                        }
-                    }
-                    let truncate = s.retire_resolved();
+                    let truncate = s.resolve(consumer, seq);
                     s.pending_since = None;
                     s.consecutive = 0;
                     s.blocked = false;
@@ -467,14 +451,9 @@ impl VerifiedRun {
         match decision {
             Decision::Roll(anchor) => {
                 self.apply_rollback(slot, &anchor);
-                if let Some(arb) = self.arbiter_of[slot] {
-                    self.arbiters[arb].retract_release(main);
-                    if !self.arbiters[arb].is_serving(main) {
-                        // The grant was revoked before the detection
-                        // landed; re-enter arbitration for the retry.
-                        let _ = self.arbiters[arb].adopt(&mut self.fs.fabric, main);
-                    }
-                }
+                // The grant may have been revoked before the detection
+                // landed; the retry needs the checker back.
+                self.rejoin_arbiter(slot, now);
                 self.emit(RunEvent::RecoveryStart {
                     main,
                     seq,
@@ -482,9 +461,7 @@ impl VerifiedRun {
                 });
             }
             Decision::Exhausted(truncate) => {
-                if let Some(mark) = truncate {
-                    self.fs.soc.mem.truncate_journal(main, mark.min(live_mark));
-                }
+                self.truncate_journal(main, truncate);
                 self.warnings.push(RunWarning::RetriesExhausted {
                     main,
                     seq,

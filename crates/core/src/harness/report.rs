@@ -402,7 +402,7 @@ impl VerifiedRun {
             warnings: self.warnings.clone(),
             mode_stats: Vec::new(),
         };
-        report.mode_stats = self.collect_mode_stats(&report);
+        report.mode_stats = self.mode_stats(&report);
         report
     }
 }
