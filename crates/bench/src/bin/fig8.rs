@@ -17,7 +17,7 @@
 //!   schedule as size-bounded Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or Perfetto).
 
-use flexstep_bench::manycore::{fig8_sweep_traced, hetero_sweep};
+use flexstep_bench::manycore::{fig8_sweep, hetero_sweep};
 use flexstep_bench::{arg_value, run_bin, write_artifact, BenchError};
 use flexstep_core::json::{array, JsonObject};
 use flexstep_soc::{flexstep_soc, vanilla_soc};
@@ -102,7 +102,7 @@ fn run() -> Result<(), BenchError> {
             "switches"
         );
         let trace = trace_path.as_ref().map(std::path::Path::new);
-        for row in fig8_sweep_traced(cores, quick, trace) {
+        for row in fig8_sweep(cores, quick, trace) {
             if !row.completed {
                 return Err(BenchError::Invariant(format!(
                     "many-core run did not finish within budget at {} cores",

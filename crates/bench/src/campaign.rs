@@ -136,14 +136,6 @@ impl CampaignConfig {
         self
     }
 
-    /// The same campaign with every main slot in the given reliability
-    /// mode (the `fig9_modes` sweep axis).
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReliabilityMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Reduced campaign for CI keep-alive runs (240 armed shots — still
     /// past the 200-shot artifact floor).
     pub fn quick(cores: usize) -> Self {

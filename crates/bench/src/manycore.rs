@@ -185,32 +185,23 @@ pub fn checker_split(
     Ok((cores - checkers, checkers))
 }
 
-/// Runs one many-core shared-checker experiment.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] when the configuration is invalid (e.g.
-/// `cores_per_checker: 1` leaves no main core) instead of panicking
-/// mid-run.
-pub fn many_core_row(cfg: &ManyCoreConfig) -> Result<ManyCoreRow, ScenarioError> {
-    many_core_row_traced(cfg, None)
-}
-
-/// [`many_core_row`] with an optional Chrome-trace export: when `trace`
-/// is given, the run records a size-bounded schedule trace
-/// ([`flexstep_core::trace`], ring of
+/// Runs one many-core shared-checker experiment, with an optional
+/// Chrome-trace export: when `trace` is given, the run records a
+/// size-bounded schedule trace ([`flexstep_core::trace`], ring of
 /// [`DEFAULT_RING_CAPACITY`](flexstep_core::DEFAULT_RING_CAPACITY)
 /// events) and writes it there — load it in `chrome://tracing` or
 /// Perfetto.
 ///
 /// # Errors
 ///
-/// As [`many_core_row`].
+/// Returns a [`ScenarioError`] when the configuration is invalid (e.g.
+/// `cores_per_checker: 1` leaves no main core) instead of panicking
+/// mid-run.
 ///
 /// # Panics
 ///
 /// Panics if the trace file cannot be written.
-pub fn many_core_row_traced(
+pub fn many_core_row(
     cfg: &ManyCoreConfig,
     trace: Option<&std::path::Path>,
 ) -> Result<ManyCoreRow, ScenarioError> {
@@ -282,25 +273,17 @@ pub fn many_core_row_traced(
     })
 }
 
-/// Runs the Fig. 8-style sweep over the given core counts.
+/// Runs the Fig. 8-style sweep over the given core counts, with an
+/// optional Chrome-trace export for the *first* sweep row (one schedule
+/// timeline is what the visualisation needs; tracing all rows would
+/// multiply the artifact size for no insight).
 ///
 /// # Panics
 ///
 /// Panics if a sweep configuration fails to validate (the built-in
 /// [`ManyCoreConfig::at`]/[`ManyCoreConfig::quick`] configurations
-/// always do).
-pub fn fig8_sweep(cores: &[usize], quick: bool) -> Vec<ManyCoreRow> {
-    fig8_sweep_traced(cores, quick, None)
-}
-
-/// [`fig8_sweep`] with an optional Chrome-trace export for the *first*
-/// sweep row (one schedule timeline is what the visualisation needs;
-/// tracing all rows would multiply the artifact size for no insight).
-///
-/// # Panics
-///
-/// As [`fig8_sweep`], plus if the trace file cannot be written.
-pub fn fig8_sweep_traced(
+/// always do), or if the trace file cannot be written.
+pub fn fig8_sweep(
     cores: &[usize],
     quick: bool,
     trace: Option<&std::path::Path>,
@@ -315,7 +298,7 @@ pub fn fig8_sweep_traced(
                 ManyCoreConfig::at(n)
             };
             let trace = if i == 0 { trace } else { None };
-            many_core_row_traced(&cfg, trace).expect("sweep configurations are valid")
+            many_core_row(&cfg, trace).expect("sweep configurations are valid")
         })
         .collect()
 }
@@ -512,7 +495,7 @@ mod tests {
             injections: 2,
             seed: 11,
         };
-        let row = many_core_row(&cfg).expect("valid configuration");
+        let row = many_core_row(&cfg, None).expect("valid configuration");
         assert_eq!(row.mains, 6);
         assert_eq!(row.checkers, 2);
         assert!(row.completed, "{row:?}");
@@ -562,7 +545,7 @@ mod tests {
             ..ManyCoreConfig::quick(8)
         };
         assert_eq!(
-            many_core_row(&cfg).unwrap_err(),
+            many_core_row(&cfg, None).unwrap_err(),
             ScenarioError::BadCheckerCount {
                 checkers: 8,
                 cores: 8
@@ -573,7 +556,7 @@ mod tests {
             ..ManyCoreConfig::quick(8)
         };
         assert!(matches!(
-            many_core_row(&zero).unwrap_err(),
+            many_core_row(&zero, None).unwrap_err(),
             ScenarioError::BadCheckerCount { .. }
         ));
         assert_eq!(checker_split(16, 4), Ok((12, 4)));

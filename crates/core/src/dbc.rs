@@ -199,11 +199,6 @@ impl BufferFifo {
         self.cursors.len()
     }
 
-    /// Entry-class capacity in bytes (the DBC SRAM size).
-    pub fn capacity_bytes(&self) -> usize {
-        self.entry_capacity
-    }
-
     /// Entry-class bytes currently buffered (not yet consumed by all
     /// consumers).
     pub fn used_bytes(&self) -> usize {

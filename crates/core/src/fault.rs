@@ -40,16 +40,19 @@ impl fmt::Display for FaultTarget {
     }
 }
 
-/// Record of one injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectionRecord {
+/// One fault injection that landed: the record both injectors return
+/// and a run reports in [`RunReport::injections`](crate::RunReport::injections).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Injection {
     /// The main core whose stream was corrupted.
     pub main_core: usize,
-    /// What was corrupted.
+    /// The corrupted packet class.
     pub target: FaultTarget,
-    /// Bit index flipped within the target word/snapshot.
-    pub bit: u32,
-    /// Cycle at which the flip was applied.
+    /// Bit indices flipped (distinct) within the target word or
+    /// snapshot.
+    pub bits: Vec<u32>,
+    /// Cycle at which the flips were applied (in a run, possibly later
+    /// than the shot's arming cycle if the stream was empty then).
     pub at_cycle: u64,
 }
 
@@ -63,7 +66,7 @@ pub fn inject_random_fault<R: Rng>(
     main: usize,
     now: u64,
     rng: &mut R,
-) -> Option<InjectionRecord> {
+) -> Option<Injection> {
     let unit = fabric.unit_mut(main);
     let len = unit.fifo.len();
     if len == 0 {
@@ -102,10 +105,10 @@ pub fn inject_random_fault<R: Rng>(
         }
     };
     drop_recordings(fabric, main);
-    Some(InjectionRecord {
+    Some(Injection {
         main_core: main,
         target,
-        bit,
+        bits: vec![bit],
         at_cycle: now,
     })
 }
@@ -122,20 +125,6 @@ fn drop_recordings(fabric: &mut Fabric, main: usize) {
     for checker in checkers {
         fabric.unit_mut(checker).checker.recording = None;
     }
-}
-
-/// Record of a targeted (coverage-sweep) injection: one packet of the
-/// requested class corrupted with one or more bit flips.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TargetedInjection {
-    /// The main core whose stream was corrupted.
-    pub main_core: usize,
-    /// The packet class that was corrupted.
-    pub target: FaultTarget,
-    /// Bit indices flipped (distinct).
-    pub bits: Vec<u32>,
-    /// Cycle at which the flips were applied.
-    pub at_cycle: u64,
 }
 
 /// Flips `bits` distinct random bits in one in-flight packet of the
@@ -155,7 +144,7 @@ pub fn inject_targeted_fault<R: Rng>(
     bits: u32,
     now: u64,
     rng: &mut R,
-) -> Option<TargetedInjection> {
+) -> Option<Injection> {
     let unit = fabric.unit_mut(main);
     let len = unit.fifo.len();
     // Collect candidate packet indices of the requested class.
@@ -214,28 +203,12 @@ pub fn inject_targeted_fault<R: Rng>(
         }
     }
     drop_recordings(fabric, main);
-    Some(TargetedInjection {
+    Some(Injection {
         main_core: main,
         target,
         bits: flipped,
         at_cycle: now,
     })
-}
-
-/// One sample of a detection-latency campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySample {
-    /// The injection that produced this sample.
-    pub injection: InjectionRecord,
-    /// Cycle of the detection event.
-    pub detected_at: u64,
-}
-
-impl LatencySample {
-    /// Detection latency in cycles.
-    pub fn latency_cycles(&self) -> u64 {
-        self.detected_at.saturating_sub(self.injection.at_cycle)
-    }
 }
 
 /// Summary statistics over a set of latency samples.
@@ -406,19 +379,5 @@ mod tests {
         assert!((s.p50_us - 50.5).abs() <= 0.6);
         assert!((s.p99_us - 99.0).abs() <= 1.0);
         assert!(LatencyStats::from_cycles(&[], clock).is_none());
-    }
-
-    #[test]
-    fn sample_latency_subtracts_injection_time() {
-        let s = LatencySample {
-            injection: InjectionRecord {
-                main_core: 0,
-                target: FaultTarget::EntryData,
-                bit: 3,
-                at_cycle: 1000,
-            },
-            detected_at: 33_000,
-        };
-        assert_eq!(s.latency_cycles(), 32_000);
     }
 }

@@ -25,8 +25,9 @@ use crate::checker::{CheckPhase, CheckerState};
 use crate::detect::SegmentResult;
 use crate::engine::{EngineStep, FlexSoc};
 use crate::fabric::{Fabric, FabricConfig};
+use crate::fault::Injection;
 use crate::scenario::{
-    Binding, FaultDriver, FaultPlan, Injection, RecoveryPolicy, ResolvedTopology, ScenarioError,
+    Binding, FaultDriver, FaultPlan, RecoveryPolicy, ResolvedTopology, ScenarioError,
 };
 use crate::share::{ArbiterStats, CheckerArbiter};
 use crate::sink::{Observer, RecordingObserver, RunEvent};

@@ -303,3 +303,47 @@ impl VerifiedRun {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coverage_buckets_the_span_up_to_freeze_and_restarts_at_resume() {
+        let mut c = Coverage::new(true);
+        c.transition(100, false); // checked 0..100
+        c.transition(250, true); // unchecked 100..250
+        c.freeze(400); // checked 250..400
+        assert_eq!(c.settled(400), (250, 150));
+        // After the freeze no cycle counts, whatever the transitions say.
+        c.transition(500, false);
+        assert_eq!(c.settled(900), (250, 150));
+        // Resuming opens a fresh interval at its own cycle: 400..1000
+        // stays in neither bucket.
+        c.resume(1000, false);
+        assert_eq!(c.settled(1300), (250, 450));
+        c.transition(1500, true);
+        c.freeze(1600);
+        assert_eq!(c.settled(5000), (350, 650));
+    }
+
+    #[test]
+    fn pairing_cancel_ends_only_a_released_window() {
+        let schedule = PairingSchedule::new().window(0, 100, 300);
+        let mut p = PairingRuntime::new(&schedule, 2);
+        assert_eq!(p.next_cycle(), 100);
+        p.released[0] = true;
+        p.pending[0] = Some(PairingAction::Acquire);
+        p.pending[1] = Some(PairingAction::Release);
+        // The released slot: window closed, its pending acquire dropped.
+        assert!(p.cancel(0));
+        assert!(!p.released[0]);
+        assert_eq!(p.pending[0], None);
+        assert!(!p.cancel(0), "a closed window cancels nothing");
+        // A checked slot keeps its due release for the next boundary.
+        assert!(!p.cancel(1));
+        assert_eq!(p.pending[1], Some(PairingAction::Release));
+        p.next = schedule.len();
+        assert_eq!(p.next_cycle(), u64::MAX);
+    }
+}

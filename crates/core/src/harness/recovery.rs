@@ -201,8 +201,9 @@ impl VerifiedRun {
     /// Kill-path re-verification: rolls a main back to its *oldest*
     /// unresolved segment boundary so a replacement checker re-verifies
     /// everything the dead one left unverdicted. No-op under
-    /// [`RecoveryPolicy::Detect`](crate::RecoveryPolicy::Detect) (the unverified tail is dropped — a
-    /// documented coverage loss) or when every segment already resolved.
+    /// [`RecoveryPolicy::Detect`](crate::RecoveryPolicy::Detect) (the
+    /// unverified tail is dropped — a documented coverage loss) or when
+    /// every segment already resolved.
     fn rollback_oldest_unresolved(&mut self, slot: usize, now: u64) {
         let anchor = {
             let Some(rec) = self.recovery.as_mut() else {
@@ -253,10 +254,11 @@ impl VerifiedRun {
         }
     }
 
-    /// Handles a fired [`FaultPlan::kill_checker_at`](crate::FaultPlan::kill_checker_at) shot: halts the
-    /// checker core, tears down its channel, and re-pairs the orphaned
-    /// mains onto surviving pool members (or degrades them to unchecked
-    /// execution when none survive).
+    /// Handles a fired
+    /// [`FaultPlan::kill_checker_at`](crate::FaultPlan::kill_checker_at)
+    /// shot: halts the checker core, tears down its channel, and
+    /// re-pairs the orphaned mains onto surviving pool members (or
+    /// degrades them to unchecked execution when none survive).
     pub(super) fn kill_checker(&mut self, idx: usize) {
         if self.dead_checkers[idx] {
             return;
@@ -336,7 +338,8 @@ impl VerifiedRun {
 
     /// Rollback-recovery reaction to one engine step: anchors new
     /// segments, retires verdicted ones, and rolls the faulted main back
-    /// on a detection. Only called under [`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback).
+    /// on a detection. Only called under
+    /// [`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback).
     pub(super) fn handle_recovery_step(&mut self, core: usize, step: &EngineStep) {
         match step {
             EngineStep::SegmentOpened => {
@@ -470,5 +473,43 @@ impl VerifiedRun {
             }
         }
         self.sync_fault_memo_blocks();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexstep_sim::ArchState;
+
+    fn anchor(seq: u64, journal_mark: u64) -> Anchor {
+        Anchor {
+            seq,
+            snapshot: ArchState::new(0).snapshot(),
+            journal_mark,
+            open_cycle: 0,
+        }
+    }
+
+    #[test]
+    fn anchors_on_a_two_consumer_channel_retire_once_both_resolved_them() {
+        let rec = RecoveryState::new(3, &[Binding::Dedicated(vec![1, 2])]);
+        let mut s = rec.slots.into_iter().next().expect("one slot");
+        assert_eq!(s.resolved.len(), 2, "one verdict cursor per consumer");
+        s.anchors.extend([anchor(0, 10), anchor(1, 20)]);
+        assert_eq!(s.resolve(Some(0), 0), None, "consumer 1 owes seq 0");
+        assert_eq!(s.anchors.len(), 2);
+        // The second verdict retires seq 0: truncate up to seq 1's mark.
+        assert_eq!(s.resolve(Some(1), 0), Some(20));
+        assert_eq!(s.anchors.len(), 1);
+        // Other order on seq 1; with no anchor left everything goes.
+        assert_eq!(s.resolve(Some(1), 1), None);
+        assert_eq!(s.resolve(Some(0), 1), Some(u64::MAX));
+        assert!(s.anchors.is_empty());
+        // A verdict from a checker off the channel records nothing.
+        s.anchors.push_back(anchor(2, 30));
+        assert_eq!(s.resolve(None, 2), None);
+        assert_eq!(s.resolve(Some(2), 2), None);
+        assert_eq!(s.resolved, vec![Some(1), Some(1)]);
+        assert_eq!(s.anchors.len(), 1);
     }
 }

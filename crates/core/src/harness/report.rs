@@ -4,7 +4,7 @@
 
 use super::VerifiedRun;
 use crate::detect::DetectionEvent;
-use crate::scenario::Injection;
+use crate::fault::Injection;
 use crate::share::ArbiterStats;
 use flexstep_sim::ReliabilityMode;
 
@@ -20,7 +20,8 @@ pub struct MainReport {
     /// Instructions retired by this main (re-executions included).
     pub retired: u64,
     /// Rollback recoveries performed on this main
-    /// ([`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback) only; 0 under `Detect`).
+    /// ([`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback)
+    /// only; 0 under `Detect`).
     pub recoveries: u64,
     /// Detections this main could not recover from (retry budget
     /// exhausted or no rollback anchor available).
@@ -45,8 +46,9 @@ pub enum RunWarning {
         /// Cycle from which execution is unverified.
         from_cycle: u64,
     },
-    /// A main exhausted [`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback)'s `max_retries`
-    /// consecutive rollbacks (or had no anchor to roll back to); the
+    /// A main exhausted
+    /// [`RecoveryPolicy::Rollback`](crate::RecoveryPolicy::Rollback)'s
+    /// `max_retries` consecutive rollbacks (or had no anchor to roll back to); the
     /// detection at `at_cycle` was recorded detect-only.
     RetriesExhausted {
         /// The unrecovered main core.
@@ -105,11 +107,6 @@ impl ModeStats {
         }
         self.checked_cycles as f64 / total as f64
     }
-
-    /// Mean matched detection latency, in cycles.
-    pub fn mean_detection_latency(&self) -> Option<f64> {
-        (self.detections > 0).then(|| self.detection_latency_total as f64 / self.detections as f64)
-    }
 }
 
 /// Outcome of a verified run.
@@ -154,7 +151,8 @@ pub struct RunReport {
     /// They never appear in [`RunReport::injections`].
     pub shots_expired: u64,
     /// Checker cores permanently failed by
-    /// [`FaultPlan::kill_checker_at`](crate::FaultPlan::kill_checker_at) shots that fired.
+    /// [`FaultPlan::kill_checker_at`](crate::FaultPlan::kill_checker_at)
+    /// shots that fired.
     pub checkers_lost: u64,
     /// Re-pair latency of each orphaned main that was re-granted a
     /// surviving checker, in cycles from the kill to the new grant.

@@ -24,7 +24,10 @@
 //! - [`scenario`] / [`harness`]: the [`Scenario`] builder — the single
 //!   front door for experiments (topology, fault plans, observers) —
 //!   and the [`VerifiedRun`] driver it builds, from dual-core Fig. 4
-//!   runs to many-core shared-checker SoCs.
+//!   runs to many-core shared-checker SoCs. The harness keeps the
+//!   dispatch loop; its children own the [`RunReport`], rollback and
+//!   checker-loss recovery, and the reliability policy (coverage,
+//!   dynamic pairing, the lockstep wait gate).
 //! - [`sink`]: [`RunEvent`], the one vocabulary a run reports in, and
 //!   the one-method [`Observer`] trait that receives it.
 //! - [`trace`]: Chrome `trace_event` export of the schedule an observer
@@ -108,10 +111,7 @@ pub use dbc::{BufferFifo, FifoFull};
 pub use detect::{DetectionEvent, MismatchKind, SegmentResult};
 pub use engine::{EngineStep, FlexSoc};
 pub use fabric::{CoreAttr, Fabric, FabricConfig, FabricStats, FlexError};
-pub use fault::{
-    inject_random_fault, inject_targeted_fault, FaultTarget, InjectionRecord, LatencySample,
-    LatencyStats, TargetedInjection,
-};
+pub use fault::{inject_random_fault, inject_targeted_fault, FaultTarget, Injection, LatencyStats};
 pub use flexstep_sim::{
     CoreModelKind, PairingAction, PairingEvent, PairingSchedule, ReliabilityMode, RELIABILITY_MODES,
 };
@@ -120,7 +120,7 @@ pub use harness::{
 };
 pub use packet::{log_entries, Checkpoint, LogEntry, LogKind, Packet, PacketMut, PacketRef};
 pub use rcpm::{Ass, SegmentClose, SegmentTracker, DEFAULT_SEGMENT_LIMIT};
-pub use scenario::{FaultPlan, Injection, RecoveryPolicy, Scenario, ScenarioError, Topology};
+pub use scenario::{FaultPlan, RecoveryPolicy, Scenario, ScenarioError, Topology};
 pub use share::{ArbiterStats, CheckerArbiter};
 pub use sink::{Observer, ObserverSummary, RecordingObserver, RunEvent};
 pub use trace::{TraceObserver, DEFAULT_RING_CAPACITY};

@@ -43,7 +43,7 @@
 //! including the many-core (Fig. 8-style) 16–64 core sweeps.
 
 use crate::fabric::{FabricConfig, FlexError};
-use crate::fault::{inject_random_fault, inject_targeted_fault, FaultTarget};
+use crate::fault::{inject_random_fault, inject_targeted_fault, FaultTarget, Injection};
 use crate::harness::VerifiedRun;
 use crate::sink::Observer;
 use flexstep_isa::asm::Program;
@@ -325,20 +325,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// One fault injection that actually fired during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Injection {
-    /// The main core whose stream was corrupted.
-    pub main_core: usize,
-    /// The corrupted packet class.
-    pub target: FaultTarget,
-    /// Bit indices flipped.
-    pub bits: Vec<u32>,
-    /// Cycle at which the flip landed (may be later than the armed
-    /// cycle if the stream was empty at arming time).
-    pub at_cycle: u64,
-}
-
 /// Executes a compiled fault plan against the run's fabric.
 #[derive(Debug)]
 pub(crate) struct FaultDriver {
@@ -456,23 +442,9 @@ impl FaultDriver {
             }
             let landed = match shot.kind {
                 ShotKind::KillChecker => unreachable!("handled above"),
-                ShotKind::Random => {
-                    inject_random_fault(fabric, main, now, &mut self.rng).map(|r| Injection {
-                        main_core: r.main_core,
-                        target: r.target,
-                        bits: vec![r.bit],
-                        at_cycle: r.at_cycle,
-                    })
-                }
+                ShotKind::Random => inject_random_fault(fabric, main, now, &mut self.rng),
                 ShotKind::Targeted { target, bits } => {
-                    inject_targeted_fault(fabric, main, target, bits, now, &mut self.rng).map(|r| {
-                        Injection {
-                            main_core: r.main_core,
-                            target: r.target,
-                            bits: r.bits,
-                            at_cycle: r.at_cycle,
-                        }
-                    })
+                    inject_targeted_fault(fabric, main, target, bits, now, &mut self.rng)
                 }
             };
             match landed {

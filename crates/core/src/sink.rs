@@ -47,7 +47,7 @@
 //! [`Scenario::record_events`]: crate::Scenario::record_events
 
 use crate::detect::{DetectionEvent, SegmentResult};
-use crate::scenario::Injection;
+use crate::fault::Injection;
 
 /// One thing that happened during a run, as an owned, `Send` value.
 #[derive(Debug, Clone, PartialEq)]

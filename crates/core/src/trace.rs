@@ -112,7 +112,6 @@ pub struct TraceObserver {
     events: VecDeque<String>,
     capacity: Option<usize>,
     dropped: u64,
-    clock: Clock,
     /// Open segment per main core: `(seq, open_cycle)`.
     open_segments: BTreeMap<usize, (u64, u64)>,
     /// Open check per checker core: `(main, seq, start_cycle)`.
@@ -144,7 +143,6 @@ impl TraceObserver {
             events: VecDeque::new(),
             capacity: None,
             dropped: 0,
-            clock: Clock::paper(),
             open_segments: BTreeMap::new(),
             open_checks: BTreeMap::new(),
             open_recoveries: BTreeMap::new(),
@@ -165,13 +163,6 @@ impl TraceObserver {
             capacity: Some(capacity.max(1)),
             ..Self::new()
         }
-    }
-
-    /// Replaces the cycle→µs clock (construction-time option: events
-    /// are rendered as they are recorded).
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Completed events currently held (spans + instants, after ring
@@ -202,7 +193,7 @@ impl TraceObserver {
     }
 
     fn us(&self, cycle: u64) -> String {
-        number(self.clock.cycles_to_us(cycle))
+        number(Clock::paper().cycles_to_us(cycle))
     }
 
     fn push(&mut self, event: String) {
@@ -348,10 +339,7 @@ impl TraceObserver {
 
         // Close anything still open (truncated runs) at the last
         // observed cycle, without mutating the recorder.
-        let mut tail = TraceObserver {
-            clock: self.clock,
-            ..TraceObserver::new()
-        };
+        let mut tail = TraceObserver::new();
         let end = self.last_cycle;
         for (&main, &(seq, start)) in &self.open_segments {
             tail.segment_span(main, seq, start, end, true);
@@ -387,7 +375,7 @@ impl TraceObserver {
         let mut m = JsonObject::new();
         // Include the truncation-closing spans so the counters agree
         // with the document's own event list.
-        m.field_raw("clock_hz", &number(self.clock.hz))
+        m.field_raw("clock_hz", &number(Clock::paper().hz))
             .field_u64("spans", self.spans + tail.spans)
             .field_u64("instants", self.instants)
             .field_u64("dropped", self.dropped);

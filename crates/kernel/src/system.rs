@@ -657,13 +657,6 @@ impl System {
                     _ => break,
                 }
             };
-            // Don't run ahead of pending releases on parked siblings.
-            if let Some(t) = self.next_release_time() {
-                if self.fs.soc.core(core).ready_at > t && t <= now {
-                    // release handled at loop top
-                }
-            }
-
             let step = self.fs.step(core);
             self.handle_step(core, step);
         }

@@ -11,7 +11,7 @@
 //! mechanism.
 
 use crate::bpred::BpredConfig;
-use crate::core::{Core, RunState};
+use crate::core::Core;
 use crate::exec::{execute, BranchOutcome, MemAccess, MemAccessKind, Stop};
 use crate::hart::{CsrCounters, PrivMode, TrapCause};
 use crate::model::{CoreModel, RetireInfo};
@@ -358,29 +358,18 @@ impl Soc {
         }
     }
 
-    /// Charges one replayed-retire worth of bookkeeping to `core`
-    /// without executing anything: advances the clock to the core's
-    /// ready time, counts one (user-mode) retirement and schedules the
-    /// core `cycles` later — exactly the timing bookkeeping
-    /// [`Soc::step_core_with_port`] performs for a retired instruction.
-    /// Used by the FlexStep engine to play back a memoized checker
-    /// segment step-for-step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn charge_replay_retire(&mut self, id: usize, cycles: u64) {
-        self.charge_replay_retires(id, 1, cycles);
-    }
-
-    /// Batch form of [`Soc::charge_replay_retire`]: charges `count`
-    /// retires totalling `total_cycles` in one call. The core's local
-    /// timeline advances exactly as `count` individual charges would
-    /// advance it; the global clock is only pulled up to the core's
-    /// *current* ready time (what the first individual charge would do),
-    /// never to the end of the batch — dispatch order is earliest-ready,
-    /// so dragging `now` through the whole batch would warp other cores'
-    /// timelines forward past their own ready times.
+    /// Charges `count` replayed retires totalling `total_cycles` to
+    /// `core` without executing anything: counts `count` (user-mode)
+    /// retirements and schedules the core `total_cycles` later — the
+    /// timing bookkeeping [`Soc::step_core_with_port`] performs for
+    /// retired instructions. Used by the FlexStep engine to play back a
+    /// memoized checker segment. The core's local timeline advances
+    /// exactly as `count` single charges would advance it; the global
+    /// clock is only pulled up to the core's *current* ready time (what
+    /// the first single charge would do), never to the end of the batch
+    /// — dispatch order is earliest-ready, so dragging `now` through the
+    /// whole batch would warp other cores' timelines forward past their
+    /// own ready times.
     ///
     /// # Panics
     ///
@@ -415,16 +404,6 @@ impl Soc {
             SchedMode::EventQueue => self.ready.peek_min(&self.cores),
             SchedMode::LinearScan => self.next_ready_core(),
         }
-    }
-
-    /// The earliest armed timer among parked cores, used by drivers to
-    /// skip idle time.
-    pub fn next_timer_event(&self) -> Option<u64> {
-        self.cores
-            .iter()
-            .filter(|c| c.run_state == RunState::Parked)
-            .filter_map(|c| c.timer_cmp)
-            .min()
     }
 
     /// Advances idle time to `cycle` (monotonic; never moves backwards).
@@ -1660,7 +1639,7 @@ mod tests {
         let mut soc = Soc::new(SocConfig::paper(1)).unwrap();
         soc.core_mut(0).unpark();
         soc.core_mut(0).ready_at = 40;
-        soc.charge_replay_retire(0, 3);
+        soc.charge_replay_retires(0, 1, 3);
         assert_eq!(soc.now(), 40);
         assert_eq!(soc.core(0).ready_at, 43);
         assert_eq!(soc.core(0).instret, 1);
