@@ -8,7 +8,7 @@
 
 use crate::dbc::BufferFifo;
 use crate::detect::{MismatchKind, SegmentResult};
-use crate::memo::{Playback, Recording, VerdictMemo};
+use crate::memo::{Recording, SegmentCharge, VerdictMemo};
 use crate::packet::{LogKind, PacketRef};
 use crate::rcpm::Ass;
 use flexstep_isa::inst::{AmoOp, AmoWidth};
@@ -65,10 +65,10 @@ pub struct CheckerState {
     /// Segment-verdict memo (see `memo.rs`); capacity set by
     /// `FabricConfig::memo_capacity` when the fabric builds the unit.
     pub(crate) memo: VerdictMemo,
-    /// Active memo-hit playback: the cached timing profile being
-    /// re-charged in place of real replay.
-    pub(crate) playback: Option<Playback>,
-    /// In-progress profile recording for a memoizable segment.
+    /// The memo hit being served in place of real replay: the cached
+    /// charge of the segment under replay.
+    pub(crate) playback: Option<SegmentCharge>,
+    /// In-progress charge recording for a memoizable segment.
     pub(crate) recording: Option<Recording>,
 }
 

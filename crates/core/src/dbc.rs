@@ -596,7 +596,7 @@ impl BufferFifo {
 
     /// Consumes `consumer`'s next `n` packets, none of them an ECP, in
     /// one cursor move with a single reclaim pass — the commit of a
-    /// replay's read-ahead and of a memo playback batch. The end state is
+    /// replay's read-ahead and of a served memo hit. The end state is
     /// that of `n` calls of [`BufferFifo::advance`].
     ///
     /// # Panics

@@ -19,7 +19,7 @@
 use crate::checker::{CheckPhase, CheckerState, ReplayPort};
 use crate::detect::{DetectionEvent, MismatchKind, SegmentResult};
 use crate::fabric::{CoreAttr, CoreUnit, Fabric, FabricConfig, FlexError};
-use crate::memo::{Playback, Recording};
+use crate::memo::Recording;
 use crate::packet::{hash_snapshot, log_entries, Packet, PacketRef, HASH_SEED};
 use crate::rcpm::SegmentClose;
 use flexstep_isa::inst::{FlexOp, InstClass};
@@ -57,11 +57,11 @@ pub enum EngineStep {
     /// A checker stalled on an empty stream.
     CheckerWaiting,
     /// A checker replayed a block of instructions in one dispatch, or
-    /// advanced a memo-hit playback by a batch of recorded steps — the
-    /// timing and final state are those of the equivalent run of
+    /// charged a whole memo-hit segment at once — the timing and final
+    /// state are those of the equivalent run of
     /// [`EngineStep::CheckerProgress`] steps.
     CheckerBlock {
-        /// Instructions replayed, or profile steps consumed (≥ 1).
+        /// Instructions replayed or charged (≥ 1).
         replayed: u64,
     },
     /// A checker applied an SCP and entered replay.
@@ -96,8 +96,10 @@ pub struct FlexSoc {
     /// blocks unbounded for every other caller.
     pub(crate) main_horizon: u64,
     /// No instruction of a checker replay block is dispatched at or
-    /// after this cycle. The harness sets it before every step; the
-    /// default 0 keeps replay single-stepped for every other caller.
+    /// after this cycle, and a memo hit is served only when its segment
+    /// ends before it. The harness sets it before every step; the
+    /// default 0 keeps replay single-stepped, serving no hit, for every
+    /// other caller.
     pub(crate) replay_horizon: u64,
 }
 
@@ -120,7 +122,7 @@ impl FlexSoc {
     /// spill on, so a checker starts a segment only once it is fully
     /// buffered, and free DMA, so FIFO occupancy never feeds back into
     /// the producer's timing. Main blocks log, checker replay blocks
-    /// replay and memo playback batches only here.
+    /// replay and the verdict memo is looked up only here.
     fn blocks_exact(&self) -> bool {
         let cfg = self.fabric.config();
         cfg.dma_spill && cfg.dma_cycles == 0
@@ -321,7 +323,7 @@ impl FlexSoc {
                 // be runnable earlier. Keeping dispatches warp-free
                 // means a checker's replay charges are a pure
                 // function of its own stream — the property the
-                // verdict memo's recorded profiles rely on.
+                // verdict memo's recorded charges rely on.
                 return EngineStep::SegmentOpened;
             }
             self.logged_block(core)
@@ -436,12 +438,12 @@ impl FlexSoc {
             return EngineStep::Idle;
         }
         let phase = self.fabric.unit(core).checker.phase;
-        // Memo-hit playback touches no config scalars: dispatch it
-        // before the per-step cfg reads — it runs once per replayed
-        // instruction on the hottest checker path.
-        if let CheckPhase::Replaying { seq, tag, .. } = phase {
-            if self.fabric.unit(core).checker.playback.is_some() {
-                return self.playback_step(core, main, consumer, seq, tag);
+        if let CheckPhase::Replaying {
+            seq, tag, count, ..
+        } = phase
+        {
+            if let Some(step) = self.playback_step(core, main, consumer, seq, tag, count) {
+                return step;
             }
         }
         let blocks = self.blocks_exact();
@@ -536,19 +538,21 @@ impl FlexSoc {
                             count: 0,
                             ic: None,
                         };
-                        // Verdict memo: a segment is memoizable only when
-                        // its full stream fingerprint is banked, no fault
-                        // shot is armed on this channel, and no checker
-                        // timer could preempt mid-replay.
-                        let memoizable = self.fabric.unit(core).checker.memo.is_enabled()
+                        // Verdict memo: a segment is memoizable only in
+                        // the block regime, when its full stream
+                        // fingerprint is banked, no fault shot is armed
+                        // on this channel, and no checker timer could
+                        // preempt mid-replay.
+                        let memoizable = blocks
+                            && self.fabric.unit(core).checker.memo.is_enabled()
                             && !self.fabric.unit(main).memo_blocked
                             && self.soc.core(core).timer_cmp.is_none();
                         if let (true, Some(stream_hash)) = (memoizable, stream_hash) {
                             let epoch = self.soc.code_epoch();
                             let checker = &mut self.fabric.unit_mut(core).checker;
                             match checker.memo.lookup(start_hash, stream_hash, epoch) {
-                                Some((inst_count, profile)) => {
-                                    checker.playback = Some(Playback::new(inst_count, profile));
+                                Some(charge) => {
+                                    checker.playback = Some(charge);
                                     self.fabric.stats.memo_hits += 1;
                                 }
                                 None => {
@@ -677,7 +681,7 @@ impl FlexSoc {
                             // Harvest the recording: a clean verdict for a
                             // fingerprinted stream is exactly what the memo
                             // caches — unless the code bytes changed under
-                            // the replay, which would stale the profile.
+                            // the replay, which would stale the charge.
                             let epoch = self.soc.code_epoch();
                             let checker = &mut self.fabric.unit_mut(core).checker;
                             if let Some(rec) = checker.recording.take() {
@@ -728,14 +732,19 @@ impl FlexSoc {
         }
     }
 
-    /// Advances a memo-hit playback by one engine step: charges the
-    /// recorded retire cost and consumes the recorded number of log
-    /// entries, reproducing the real replay's step sequence exactly.
-    /// When the profile runs dry it consumes the `InstCount` packet and
+    /// Serves the checker's memo hit, if it has one, in the dispatch
+    /// shape of a real replay.
+    ///
+    /// The first dispatch charges the whole segment — its instruction
+    /// count and cycles in one [`Soc::charge_replay_retires`], its log
+    /// entries in one cursor move — when the segment ends before the
+    /// replay horizon, which bounds it like any replay block. Otherwise
+    /// the hit is dropped and `None` sends the dispatch on to real
+    /// replay. The next dispatch consumes the `InstCount` packet and
     /// restores the replayed end state from the buffered ECP snapshot —
     /// the memoized verdict was clean, so a real replay would end in
-    /// exactly that state — then falls through to the regular `WaitEcp`
-    /// compare, which emits the verdict with its usual stall and events.
+    /// exactly that state — and the regular `WaitEcp` compare then emits
+    /// the verdict with its usual stall and events.
     fn playback_step(
         &mut self,
         core: usize,
@@ -743,68 +752,37 @@ impl FlexSoc {
         consumer: usize,
         seq: u64,
         tag: u64,
-    ) -> EngineStep {
-        // In spill mode with free DMA the producer never observes FIFO
-        // occupancy (`can_accept` is unconditionally true), so draining
-        // a batch of profile steps in one engine step is indistinguishable
-        // — in report and in timing — from draining them one step at a
-        // time. Outside that regime occupancy feeds back into producer
-        // backpressure and spill charges, so playback stays per-step.
-        const BATCH: usize = BLOCK_INSTS as usize;
-        let max_batch = if self.blocks_exact() { BATCH } else { 1 };
-        let mut buf = [(0u64, 0u64); BATCH];
-        let mut n = 0;
-        {
-            let pb = self
-                .fabric
-                .unit_mut(core)
-                .checker
-                .playback
-                .as_mut()
-                .expect("playback checked by caller");
-            while n < max_batch {
-                match pb.next_step() {
-                    Some(step) => {
-                        buf[n] = step;
-                        n += 1;
-                    }
-                    None => break,
-                }
+        count: u64,
+    ) -> Option<EngineStep> {
+        let hit = self.fabric.unit(core).checker.playback?;
+        if count < hit.inst_count {
+            let at = self.soc.now().max(self.soc.core(core).ready_at);
+            if at + hit.cycles >= self.replay_horizon {
+                self.fabric.unit_mut(core).checker.playback = None;
+                return None;
             }
-        }
-        if n > 0 {
-            let mut total_cycles = 0u64;
-            let mut total_entries = 0u64;
-            for &(cycles, entries) in &buf[..n] {
-                total_cycles += cycles;
-                total_entries += entries;
-            }
-            self.soc.charge_replay_retires(core, n as u64, total_cycles);
-            // Profile entries lie within the buffered segment.
+            self.soc
+                .charge_replay_retires(core, hit.inst_count, hit.cycles);
             self.fabric
                 .unit_mut(main)
                 .fifo
-                .advance_in_segment(consumer, total_entries as usize);
+                .advance_in_segment(consumer, hit.entries as usize);
             if let CheckPhase::Replaying { count, .. } =
                 &mut self.fabric.unit_mut(core).checker.phase
             {
-                *count += n as u64;
+                *count = hit.inst_count;
             }
-            return EngineStep::CheckerBlock { replayed: n as u64 };
+            return Some(EngineStep::CheckerBlock {
+                replayed: hit.inst_count,
+            });
         }
-        // Profile exhausted. The fingerprint match guarantees the stream
-        // is byte-identical to the recorded one, so the head must be the
-        // memoized segment's InstCount followed by its ECP — anything
-        // else is a memo bug or a 128-bit fingerprint collision: fail
-        // loudly rather than verify the wrong segment.
-        let inst_count = self
-            .fabric
-            .unit_mut(core)
-            .checker
-            .playback
-            .take()
-            .expect("playback checked by caller")
-            .inst_count;
+        // Charged, or the segment retired nothing. The fingerprint match
+        // guarantees the stream is byte-identical to the recorded one, so
+        // the head must be the memoized segment's InstCount followed by
+        // its ECP — anything else is a memo bug or a 128-bit fingerprint
+        // collision: fail loudly rather than verify the wrong segment.
+        self.fabric.unit_mut(core).checker.playback = None;
+        let inst_count = hit.inst_count;
         match self.fabric.unit(main).fifo.peek(consumer) {
             Some(PacketRef::InstCount(v)) if v == inst_count => {}
             other => panic!(
@@ -821,7 +799,7 @@ impl FlexSoc {
             tag,
             count: inst_count,
         };
-        EngineStep::CheckerProgress
+        Some(EngineStep::CheckerProgress)
     }
 
     /// Replays from the stream head: as a block when the regime allows
@@ -918,19 +896,13 @@ impl FlexSoc {
         match step.kind {
             StepKind::Retired(ref retired) => {
                 let st = &mut self.fabric.unit_mut(core).checker;
-                if st.recording.is_some() {
-                    // System instructions (CSR reads of time-dependent
-                    // counters) make results depend on more than the
-                    // fingerprinted inputs: drop the recording.
-                    let system = retired.inst.class() == InstClass::System;
-                    let kept = !system
-                        && st
-                            .recording
-                            .as_mut()
-                            .is_some_and(|r| r.push_step(step.cycles, entries as u64));
-                    if !kept {
-                        st.recording = None;
-                    }
+                // System instructions (CSR reads of time-dependent
+                // counters) make results depend on more than the
+                // fingerprinted inputs: drop the recording.
+                if retired.inst.class() == InstClass::System {
+                    st.recording = None;
+                } else if let Some(rec) = &mut st.recording {
+                    rec.push_step(step.cycles, entries as u64);
                 }
                 if let CheckPhase::Replaying { count, .. } = &mut st.phase {
                     *count += 1;
@@ -952,7 +924,7 @@ impl FlexSoc {
                 },
             ),
             StepKind::Interrupted { .. } => {
-                // Preemption mid-replay: the profile would be incomplete.
+                // Preemption mid-replay: the charge would be incomplete.
                 self.fabric.unit_mut(core).checker.recording = None;
                 EngineStep::CheckerInterrupted(step.kind)
             }
@@ -1072,9 +1044,7 @@ impl ReplayControl for ReplayBlock<'_> {
         self.budget -= 1;
         self.count += 1;
         if let Some(rec) = &mut self.recording {
-            if !rec.push_step(cycles, entries) {
-                self.recording = None;
-            }
+            rec.push_step(cycles, entries);
         }
     }
 }

@@ -74,9 +74,9 @@ pub struct FabricConfig {
     pub checker_wait_cycles: u64,
     /// Segment-verdict memo capacity per checker (entries). `0` disables
     /// memoization entirely; any other value bounds the LRU verdict
-    /// cache. Memoization never changes results — a hit replays the
-    /// cached per-step timing profile, producing bit-identical reports —
-    /// so it defaults on.
+    /// cache. Memoization never changes results — a hit charges the
+    /// cached segment totals a real replay would have charged, producing
+    /// bit-identical reports — so it defaults on.
     pub memo_capacity: usize,
 }
 
@@ -271,7 +271,10 @@ pub struct FabricStats {
     pub segments_ok: u64,
     /// Segments that failed verification.
     pub segments_failed: u64,
-    /// Segment applies served from the verdict memo (replay skipped).
+    /// Segment applies that found a verdict in the memo. A hit is
+    /// served (replay skipped) only when its segment ends before the
+    /// harness's replay horizon; one that would cross it replays for
+    /// real, so single-stepped runs (horizon 0) serve none.
     pub memo_hits: u64,
     /// Memoizable segment applies that missed the verdict memo.
     pub memo_misses: u64,

@@ -118,7 +118,7 @@ pub fn inject_random_fault<R: Rng>(
 /// Mutating an in-flight packet already poisons the DBC's banked
 /// fingerprints, but a checker that captured its segment's fingerprint
 /// *before* the flip could still finish recording against the pristine
-/// hashes and cache a profile for a stream that no longer exists — this
+/// hashes and cache a charge for a stream that no longer exists — this
 /// is the injectors' half of the fault-bypass contract (DESIGN.md §13).
 fn drop_recordings(fabric: &mut Fabric, main: usize) {
     let checkers: Vec<usize> = fabric.checkers_of(main).to_vec();

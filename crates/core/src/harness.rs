@@ -165,7 +165,7 @@ impl VerifiedRun {
         fs.op_g_configure(&mains, &checkers)?;
         // Heterogeneous mains: swap in each slot's timing model before
         // anything runs. Checkers keep the in-order default — replay
-        // correctness (and the verdict memo's recorded profiles) assume
+        // correctness (and the verdict memo's recorded charges) assume
         // the minimal checker microarchitecture.
         for (slot, kind) in models.iter().enumerate() {
             fs.soc.set_core_model(mains[slot], *kind);
@@ -501,7 +501,8 @@ impl VerifiedRun {
     /// block stops at the ready cycle of every checker that could give
     /// one (`rollback_horizon`), and a channel with sibling consumers
     /// replays single-stepped, since either sibling's detection rolls the
-    /// stream back under the other.
+    /// stream back under the other. A checker serves a memo hit only when
+    /// the hit's whole segment ends before the horizon.
     fn horizon(&self, core: usize) -> u64 {
         #[cfg(test)]
         if self.single_step {
@@ -1012,8 +1013,31 @@ mod tests {
         assert_eq!(
             r_on.to_json(),
             r_off.to_json(),
-            "memo hits must replay the exact timing profile"
+            "memo hits must charge the exact replay timing"
         );
+    }
+
+    #[test]
+    fn kill_shots_inside_a_memo_hit_leave_reports_unchanged() {
+        // Each kill cycle lands inside a segment the second checker of a
+        // 1:2 channel would serve from the memo: the hit must replay
+        // for real up to the kill, as memo-off replay blocks do.
+        let p = memoizable_loop(8);
+        for kill_at in [21_078, 22_091, 23_104, 24_117, 25_130] {
+            let run = |memo: bool| {
+                let mut run = Scenario::new(&p)
+                    .cores(3)
+                    .topology(Topology::Custom(vec![(0, vec![1, 2])]))
+                    .fault_plan(FaultPlan::kill_checker_at(kill_at).on_checker(1))
+                    .memo(memo)
+                    .build()
+                    .unwrap();
+                let report = run.run_to_completion(100_000_000);
+                assert!(report.completed);
+                report
+            };
+            assert_eq!(run(true), run(false), "kill at cycle {kill_at}");
+        }
     }
 
     #[test]
@@ -1201,7 +1225,7 @@ mod tests {
     #[test]
     fn memo_capacity_zero_via_builder_disables_lookups() {
         let p = memoizable_loop(4);
-        let mut run = Scenario::new(&p).cores(2).memo_capacity(0).build().unwrap();
+        let mut run = Scenario::new(&p).cores(2).memo(false).build().unwrap();
         let r = run.run_to_completion(100_000_000);
         assert!(r.completed);
         assert_eq!(run.fabric().stats.memo_hits, 0);

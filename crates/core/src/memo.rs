@@ -3,14 +3,14 @@
 //! A checker that has already replayed a segment bit-identical to one it
 //! is about to start — same architectural start state, same forwarded
 //! packet stream, same code bytes — will reach the same verdict through
-//! the same per-step timing. The [`VerdictMemo`] caches that outcome,
-//! keyed by two 64-bit fingerprints computed incrementally by the DBC
-//! (see `dbc.rs`): the hash of the start checkpoint's architectural
-//! snapshot and the running hash of every packet in the segment's
-//! stream. On a hit the engine skips re-execution and plays back the
-//! recorded per-step timing profile instead, charging the same cycles
-//! and consuming the same log entries, so externally observable state —
-//! engine-step sequence, stall accounting, observer events, the
+//! the same timing. The [`VerdictMemo`] caches that outcome, keyed by
+//! two 64-bit fingerprints computed incrementally by the DBC (see
+//! `dbc.rs`): the hash of the start checkpoint's architectural snapshot
+//! and the running hash of every packet in the segment's stream. Each
+//! entry is the segment's [`SegmentCharge`]: what its clean replay
+//! retired, cycled and consumed. On a hit the engine skips re-execution
+//! and charges those totals in one dispatch, so externally observable
+//! state — engine-step count, stall accounting, observer events, the
 //! `RunReport` — is bit-identical to a real replay.
 //!
 //! Faulted streams can never be served from the cache: mutating any
@@ -19,42 +19,26 @@
 //! shots, and the injectors drop any in-progress recording — three
 //! independent layers (see DESIGN.md §13).
 
-use std::sync::Arc;
-
 /// Default verdict-cache capacity (entries per checker).
 pub(crate) const DEFAULT_MEMO_CAPACITY: usize = 64;
 
-/// Per-retire cycle costs at or above this bound are not memoized: the
-/// playback profile packs `(cycles << 2) | log_entries_consumed` into a
-/// `u32`, so cycles must fit in 30 bits. No modeled instruction comes
-/// close (worst case is a few hundred cycles of cache misses), but the
-/// recorder bails rather than truncate.
-const MAX_STEP_CYCLES: u64 = 1 << 30;
-
-/// Packs one replay step for the profile: `entries` is the number of log
-/// entries the step consumed (0..=2 — a plain retire, a load/store, or a
-/// multi-µop AMO pair). Returns `None` when the step is not packable.
-fn pack_step(cycles: u64, entries: u64) -> Option<u32> {
-    if cycles >= MAX_STEP_CYCLES || entries > 3 {
-        return None;
-    }
-    Some(((cycles as u32) << 2) | entries as u32)
-}
-
-fn unpack_step(packed: u32) -> (u64, u64) {
-    (u64::from(packed >> 2), u64::from(packed & 3))
+/// What a clean replay of one segment charged: the instructions it
+/// retired, the cycles they took and the log entries they consumed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SegmentCharge {
+    pub(crate) inst_count: u64,
+    pub(crate) cycles: u64,
+    pub(crate) entries: u64,
 }
 
 /// One cached segment verdict: the fingerprint pair it answers for, the
-/// code epoch it was recorded under, the instruction count the segment
-/// retired, and the per-step timing profile.
+/// code epoch it was recorded under, and the segment's charge.
 #[derive(Debug, Clone)]
 struct MemoEntry {
     start_hash: u64,
     stream_hash: u64,
     code_epoch: u64,
-    inst_count: u64,
-    profile: Arc<[u32]>,
+    charge: SegmentCharge,
     last_used: u64,
 }
 
@@ -92,14 +76,14 @@ impl VerdictMemo {
         start_hash: u64,
         stream_hash: u64,
         code_epoch: u64,
-    ) -> Option<(u64, Arc<[u32]>)> {
+    ) -> Option<SegmentCharge> {
         self.tick += 1;
         let tick = self.tick;
         let e = self.entries.iter_mut().find(|e| {
             e.start_hash == start_hash && e.stream_hash == stream_hash && e.code_epoch == code_epoch
         })?;
         e.last_used = tick;
-        Some((e.inst_count, Arc::clone(&e.profile)))
+        Some(e.charge)
     }
 
     /// Inserts a finished recording, evicting the least-recently-used
@@ -113,8 +97,7 @@ impl VerdictMemo {
             start_hash: rec.start_hash,
             stream_hash: rec.stream_hash,
             code_epoch: rec.code_epoch,
-            inst_count: rec.profile.len() as u64,
-            profile: rec.profile.into(),
+            charge: rec.charge,
             last_used: self.tick,
         };
         if let Some(e) = self.entries.iter_mut().find(|e| {
@@ -144,7 +127,7 @@ impl VerdictMemo {
     }
 }
 
-/// An in-progress recording of one segment's replay profile. Created at
+/// An in-progress recording of one segment's replay charge. Created at
 /// SCP apply when the segment is memoizable; dropped on any
 /// non-memoizable step (CSR/system instruction, trap, interrupt,
 /// detection, fault injection, code-epoch change); harvested into the
@@ -154,7 +137,7 @@ pub(crate) struct Recording {
     pub(crate) start_hash: u64,
     pub(crate) stream_hash: u64,
     pub(crate) code_epoch: u64,
-    profile: Vec<u32>,
+    charge: SegmentCharge,
 }
 
 impl Recording {
@@ -163,50 +146,16 @@ impl Recording {
             start_hash,
             stream_hash,
             code_epoch,
-            profile: Vec::new(),
+            charge: SegmentCharge::default(),
         }
     }
 
-    /// Appends one retired step. Returns `false` (caller drops the
-    /// recording) when the step cannot be packed.
-    #[must_use]
-    pub(crate) fn push_step(&mut self, cycles: u64, entries: u64) -> bool {
-        match pack_step(cycles, entries) {
-            Some(p) => {
-                self.profile.push(p);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Playback state for a memo hit: the cached profile being re-charged
-/// step by step in place of real replay.
-#[derive(Debug)]
-pub(crate) struct Playback {
-    profile: Arc<[u32]>,
-    pos: usize,
-    /// The instruction count the memoized segment retired — asserted
-    /// against the stream's `InstCount` packet when the profile runs dry.
-    pub(crate) inst_count: u64,
-}
-
-impl Playback {
-    pub(crate) fn new(inst_count: u64, profile: Arc<[u32]>) -> Self {
-        Playback {
-            profile,
-            pos: 0,
-            inst_count,
-        }
-    }
-
-    /// Next `(cycles, log_entries_consumed)` step, or `None` when the
-    /// profile is exhausted.
-    pub(crate) fn next_step(&mut self) -> Option<(u64, u64)> {
-        let packed = *self.profile.get(self.pos)?;
-        self.pos += 1;
-        Some(unpack_step(packed))
+    /// Adds one retired step that took `cycles` and consumed `entries`
+    /// log entries.
+    pub(crate) fn push_step(&mut self, cycles: u64, entries: u64) {
+        self.charge.inst_count += 1;
+        self.charge.cycles += cycles;
+        self.charge.entries += entries;
     }
 }
 
@@ -217,7 +166,7 @@ mod tests {
     fn rec(start: u64, stream: u64, epoch: u64, steps: &[(u64, u64)]) -> Recording {
         let mut r = Recording::new(start, stream, epoch);
         for &(c, e) in steps {
-            assert!(r.push_step(c, e));
+            r.push_step(c, e);
         }
         r
     }
@@ -226,13 +175,15 @@ mod tests {
     fn roundtrip_profile_through_lookup() {
         let mut m = VerdictMemo::new(4);
         m.insert(rec(1, 2, 0, &[(3, 0), (7, 1), (1, 2)]));
-        let (count, profile) = m.lookup(1, 2, 0).expect("hit");
-        assert_eq!(count, 3);
-        let mut pb = Playback::new(count, profile);
-        assert_eq!(pb.next_step(), Some((3, 0)));
-        assert_eq!(pb.next_step(), Some((7, 1)));
-        assert_eq!(pb.next_step(), Some((1, 2)));
-        assert_eq!(pb.next_step(), None);
+        let charge = m.lookup(1, 2, 0).expect("hit");
+        assert_eq!(
+            charge,
+            SegmentCharge {
+                inst_count: 3,
+                cycles: 11,
+                entries: 3
+            }
+        );
     }
 
     #[test]
@@ -264,8 +215,8 @@ mod tests {
         m.insert(rec(1, 1, 0, &[(1, 0)]));
         m.insert(rec(1, 1, 0, &[(2, 1), (3, 0)]));
         assert_eq!(m.len(), 1);
-        let (count, _) = m.lookup(1, 1, 0).unwrap();
-        assert_eq!(count, 2, "overwritten entry wins");
+        let charge = m.lookup(1, 1, 0).unwrap();
+        assert_eq!(charge.inst_count, 2, "overwritten entry wins");
     }
 
     #[test]
@@ -274,13 +225,5 @@ mod tests {
         assert!(!m.is_enabled());
         m.insert(rec(1, 1, 0, &[(1, 0)]));
         assert!(m.lookup(1, 1, 0).is_none());
-    }
-
-    #[test]
-    fn unpackable_steps_reject_the_recording() {
-        let mut r = Recording::new(0, 0, 0);
-        assert!(r.push_step(MAX_STEP_CYCLES - 1, 3));
-        assert!(!r.push_step(MAX_STEP_CYCLES, 0), "cycle overflow bails");
-        assert!(!r.push_step(1, 4), "entry count beyond 2 bits bails");
     }
 }

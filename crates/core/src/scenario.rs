@@ -863,9 +863,11 @@ impl Scenario {
 
     /// Enables or disables segment-verdict memoization (default: on,
     /// via [`FabricConfig::paper`]). Memoization never changes results —
-    /// a memo hit replays the cached per-step timing profile, so reports
-    /// are bit-identical either way; `memo(false)` is the reference
-    /// path the memo-equivalence suites compare memoized runs against.
+    /// a memo hit charges the cached segment totals a real replay would
+    /// have charged, so reports are bit-identical either way;
+    /// `memo(false)` is the reference path the memo-equivalence suites
+    /// compare memoized runs against. [`FabricConfig::memo_capacity`]
+    /// bounds the cache.
     pub fn memo(mut self, enable: bool) -> Self {
         if enable {
             if self.fabric.memo_capacity == 0 {
@@ -874,13 +876,6 @@ impl Scenario {
         } else {
             self.fabric.memo_capacity = 0;
         }
-        self
-    }
-
-    /// Bounds the per-checker verdict cache to `entries` (0 disables,
-    /// like `memo(false)`).
-    pub fn memo_capacity(mut self, entries: usize) -> Self {
-        self.fabric.memo_capacity = entries;
         self
     }
 

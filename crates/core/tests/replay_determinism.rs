@@ -365,8 +365,8 @@ proptest! {
 
     /// The segment-verdict memo must be architecturally and temporally
     /// invisible: for any program, topology, and fault plan, the memo-on
-    /// and memo-off runs serialise to byte-identical reports. Hits replay
-    /// the recorded cycle/consumption profile exactly; channels with an
+    /// and memo-off runs serialise to byte-identical reports. Hits charge
+    /// the recorded cycle/consumption totals exactly; channels with an
     /// armed or in-flight fault shot bypass the memo and re-execute.
     #[test]
     fn memo_on_and_off_reports_are_byte_identical(
@@ -378,7 +378,11 @@ proptest! {
     ) {
         // A small segment limit makes even short programs cross many
         // segment boundaries; loop-heavy bodies then produce real hits.
-        let fabric = FabricConfig { segment_limit: 150, ..FabricConfig::paper() };
+        let fabric = FabricConfig {
+            segment_limit: 150,
+            memo_capacity: if tiny_cache { 4 } else { 64 },
+            ..FabricConfig::paper()
+        };
         let p0 = build_program_at(&body, iters, Some(0));
         let p1 = build_program_at(&body, iters, Some(1));
 
@@ -396,10 +400,7 @@ proptest! {
                     .cores(3)
                     .topology(Topology::SharedChecker { checkers: 1 }),
             };
-            scenario = scenario
-                .fabric(fabric)
-                .memo(memo)
-                .memo_capacity(if tiny_cache { 4 } else { 64 });
+            scenario = scenario.fabric(fabric).memo(memo);
             if faulted {
                 scenario = scenario.fault_plan(
                     FaultPlan::bit_flip_at(10_000, FaultTarget::EntryData).with_seed(7),
@@ -418,11 +419,12 @@ proptest! {
 
     /// Same identity on a workload engineered to produce real memo hits
     /// (`control_loop_kernel` repeats architectural state across
-    /// segment-aligned repetitions): the hit path — recorded-profile
-    /// playback instead of re-execution — must be byte-for-byte
-    /// indistinguishable from a full replay, across dedicated and
-    /// shared-checker topologies, cache-eviction pressure, and armed
-    /// fault shots (which bypass the memo on the targeted channel).
+    /// segment-aligned repetitions): the hit path — one charge of the
+    /// cached segment totals instead of re-execution — must be
+    /// byte-for-byte indistinguishable from a full replay, across
+    /// dedicated and shared-checker topologies, cache-eviction pressure,
+    /// armed fault shots (which bypass the memo on the targeted channel)
+    /// and checker kills (which the replay horizon keeps out of a hit).
     #[test]
     fn memo_hits_are_invisible_across_topologies(
         segments_per_rep in 2i64..5,
@@ -430,15 +432,21 @@ proptest! {
         shape in 0usize..3,
         faulted in any::<bool>(),
         tiny_cache in any::<bool>(),
+        killed in any::<bool>(),
+        kill_at in 1_000u64..8_000,
     ) {
-        let fabric = FabricConfig { segment_limit: 150, ..FabricConfig::paper() };
+        let fabric = FabricConfig {
+            segment_limit: 150,
+            memo_capacity: if tiny_cache { 4 } else { 64 },
+            ..FabricConfig::paper()
+        };
         let p0 = control_loop_kernel_at("ctrl0", 150, segments_per_rep, reps, 0);
         let p1 = control_loop_kernel_at("ctrl1", 150, segments_per_rep, reps, 1);
 
         let mut jsons = Vec::new();
         let mut hits = 0u64;
         for memo in [false, true] {
-            let mut scenario = match shape {
+            let scenario = match shape {
                 0 => Scenario::new(&p0).cores(2),
                 1 => Scenario::new(&p0).program(&p1).cores(4),
                 _ => Scenario::new(&p0)
@@ -446,16 +454,14 @@ proptest! {
                     .cores(3)
                     .topology(Topology::SharedChecker { checkers: 1 }),
             };
-            scenario = scenario
-                .fabric(fabric)
-                .memo(memo)
-                .memo_capacity(if tiny_cache { 4 } else { 64 });
+            let mut plan = FaultPlan::none().with_seed(11);
             if faulted {
-                scenario = scenario.fault_plan(
-                    FaultPlan::bit_flip_at(2_000, FaultTarget::EntryData).with_seed(11),
-                );
+                plan = plan.then_bit_flip_at(2_000, FaultTarget::EntryData);
             }
-            let mut run = scenario.build().expect("setup");
+            if killed {
+                plan = plan.then_kill_checker_at(kill_at);
+            }
+            let mut run = scenario.fabric(fabric).memo(memo).fault_plan(plan).build().expect("setup");
             let report = run.run_to_completion(50_000_000);
             prop_assert!(report.completed, "memo={memo} run must finish");
             if memo {
@@ -463,7 +469,7 @@ proptest! {
             }
             jsons.push(report.to_json());
         }
-        if !faulted {
+        if !faulted && !killed {
             prop_assert!(hits > 0, "aligned workload must produce memo hits");
         }
         prop_assert_eq!(&jsons[0], &jsons[1], "memo on/off reports diverged (hits={})", hits);

@@ -21,9 +21,6 @@ pub struct KernelConfig {
     pub context_switch_cycles: u64,
     /// Cycles charged for trap entry/exit (timer tick, `ecall`).
     pub trap_cycles: u64,
-    /// When a busy checker finds its stream empty and other work is
-    /// ready, yield the core (asynchronous checking).
-    pub checker_yield: bool,
 }
 
 impl Default for KernelConfig {
@@ -31,7 +28,6 @@ impl Default for KernelConfig {
         KernelConfig {
             context_switch_cycles: 300,
             trap_cycles: 120,
-            checker_yield: true,
         }
     }
 }
@@ -714,10 +710,7 @@ impl System {
                 self.maybe_finish_checker(core);
                 // Yield the core if other work is ready (asynchronous
                 // checking lets normal tasks preempt idle-waiting).
-                if self.cfg.checker_yield
-                    && self.running[core].is_some()
-                    && !self.queues[core].is_empty()
-                {
+                if self.running[core].is_some() && !self.queues[core].is_empty() {
                     // Force a re-dispatch by treating the checker as
                     // lower priority for this pass: requeue with its own
                     // deadline, then let EDF pick.

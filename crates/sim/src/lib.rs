@@ -53,10 +53,7 @@ pub use flexstep_soc::{
     CoreModelKind, PairingAction, PairingEvent, PairingSchedule, ReliabilityMode, RELIABILITY_MODES,
 };
 pub use hart::{ArchSnapshot, ArchState, CsrCounters, PrivMode, TrapCause};
-pub use model::{
-    CoreModel, CoreTimingModel, InOrderModel, InstructionExecutor, OooModel, RetireInfo,
-    ScalarExecutor,
-};
+pub use model::{CoreModel, CoreTimingModel, InOrderModel, OooModel, RetireInfo};
 pub use port::{amo_apply, DataPort, PortStop, ReplayControl, SocDataPort};
 pub use soc::{Retired, SchedMode, Soc, SocConfig, StepKind, StepResult, BLOCK_INSTS};
 pub use timing::{Clock, ExecCosts};

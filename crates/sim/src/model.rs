@@ -1,9 +1,9 @@
 //! Pluggable core timing models (the `CoreModel` trait layer).
 //!
-//! The architectural execute stage is a pure function
-//! ([`crate::exec::execute`], re-exposed here behind the
-//! [`InstructionExecutor`] trait); what differs between core
-//! microarchitectures is *when* a retired instruction's effects land.
+//! The architectural execute stage is one pure function
+//! ([`crate::exec::execute`]) that mains and checker replay share; what
+//! differs between core microarchitectures is *when* a retired
+//! instruction's effects land.
 //! [`CoreTimingModel`] captures exactly that seam: the SoC engine
 //! fetches, decodes and executes, then hands the retirement to the
 //! model, which owns every piece of speculative/hazard state (branch
@@ -24,57 +24,12 @@
 //!   existing `ready_at = now + cycles` contract unchanged.
 
 use crate::bpred::{BpredConfig, BranchPredictor};
-use crate::exec::{execute, BranchOutcome, Exec, Stop};
-use crate::hart::{ArchState, CsrCounters};
-use crate::port::DataPort;
+use crate::exec::BranchOutcome;
 use crate::timing::ExecCosts;
 use flexstep_isa::inst::Inst;
 use flexstep_isa::XReg;
 use flexstep_soc::CoreModelKind;
 use std::collections::VecDeque;
-
-/// The architectural execute stage as a trait (the nexus-zkvm
-/// `InstructionExecutor` idiom): one implementation, shared by every
-/// timing model and by checker replay — main and checker run the *same*
-/// executor over different data ports, which is what makes replay
-/// verification meaningful.
-pub trait InstructionExecutor {
-    /// Executes one instruction against `state` through `port`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stop`] when the instruction traps, parks, is a
-    /// platform (FlexStep) instruction, or the port aborts it; `state`
-    /// is unmodified in every stop case.
-    fn execute(
-        &self,
-        state: &mut ArchState,
-        inst: &Inst,
-        counters: &CsrCounters,
-        costs: &ExecCosts,
-        port: &mut dyn DataPort,
-        resv: &mut Option<u64>,
-    ) -> Result<Exec, Stop>;
-}
-
-/// The scalar RV64 executor every core model shares.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarExecutor;
-
-impl InstructionExecutor for ScalarExecutor {
-    #[inline]
-    fn execute(
-        &self,
-        state: &mut ArchState,
-        inst: &Inst,
-        counters: &CsrCounters,
-        costs: &ExecCosts,
-        port: &mut dyn DataPort,
-        resv: &mut Option<u64>,
-    ) -> Result<Exec, Stop> {
-        execute(state, inst, counters, costs, port, resv)
-    }
-}
 
 /// Everything a timing model sees about one retiring instruction.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +41,7 @@ pub struct RetireInfo<'a> {
     /// Front-end fetch penalty beyond the pipelined L1 hit.
     pub fetch_cycles: u64,
     /// Data-port and long-latency functional-unit cycles
-    /// ([`Exec::extra_cycles`]).
+    /// ([`crate::exec::Exec::extra_cycles`]).
     pub extra_cycles: u64,
     /// Whether the instruction's memory access reads (load/LR) — the
     /// load-use interlock source.
@@ -199,7 +154,7 @@ impl CoreTimingModel for InOrderModel {
 /// A MEEK-class wide out-of-order superscalar timing model.
 ///
 /// Architectural execution stays serial (the shared
-/// [`ScalarExecutor`]); this model reconstructs *when* each
+/// [`crate::exec::execute`]); this model reconstructs *when* each
 /// instruction would retire on a `width`-wide machine with a
 /// `rob`-entry window:
 ///

@@ -129,11 +129,11 @@ pub struct StepResult {
     pub now: u64,
 }
 
-/// Most instructions one dispatch retires as a block: a main block
-/// ([`Soc::run_main_block`]), a checker replay block
-/// ([`Soc::run_replay_block`]) or a batch of memoized replay steps. The
-/// cap only bounds one dispatch's host time, so dispatches stay
-/// comparable in cost; longer runs simply take several blocks.
+/// Most instructions one dispatch executes as a block: a main block
+/// ([`Soc::run_main_block`]) or a checker replay block
+/// ([`Soc::run_replay_block`]). The cap only bounds one dispatch's host
+/// time, so dispatches stay comparable in cost; longer runs simply take
+/// several blocks.
 pub const BLOCK_INSTS: u64 = 32;
 
 /// A loaded program's text, decoded once: `insts[i]` is the instruction
@@ -362,14 +362,14 @@ impl Soc {
     /// `core` without executing anything: counts `count` (user-mode)
     /// retirements and schedules the core `total_cycles` later — the
     /// timing bookkeeping [`Soc::step_core_with_port`] performs for
-    /// retired instructions. Used by the FlexStep engine to play back a
-    /// memoized checker segment. The core's local timeline advances
-    /// exactly as `count` single charges would advance it; the global
-    /// clock is only pulled up to the core's *current* ready time (what
-    /// the first single charge would do), never to the end of the batch
-    /// — dispatch order is earliest-ready, so dragging `now` through the
-    /// whole batch would warp other cores' timelines forward past their
-    /// own ready times.
+    /// retired instructions. Used by the FlexStep engine to charge a
+    /// memoized checker segment in one dispatch. The core's local
+    /// timeline advances exactly as `count` single charges would advance
+    /// it; the global clock is only pulled up to the core's *current*
+    /// ready time (what the first single charge would do), never to the
+    /// end of the segment — dispatch order is earliest-ready, so dragging
+    /// `now` through the whole segment would warp other cores' timelines
+    /// forward past their own ready times.
     ///
     /// # Panics
     ///

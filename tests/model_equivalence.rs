@@ -214,7 +214,7 @@ fn memo_on_and_off_match_goldens_and_each_other() {
             run_report(run)
         })
         .collect();
-    // The warp-free clock invariant: memoized playback must be
+    // The warp-free clock invariant: a served memo hit must be
     // byte-identical to full replay, not just "also complete".
     assert_eq!(reports[0], reports[1], "memo on/off must not diverge");
     assert_golden("goldens/memo_off.report.json", &reports[0]);

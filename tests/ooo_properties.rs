@@ -229,7 +229,7 @@ proptest! {
     }
 
     /// The warp-free clock invariant holds for Branch-packet streams:
-    /// memoized playback of an OoO-main segment is byte-identical to
+    /// a served memo hit on an OoO-main segment is byte-identical to
     /// full replay.
     #[test]
     fn memo_on_off_identical_for_ooo_mains(
