@@ -9,7 +9,7 @@
 use crate::dbc::BufferFifo;
 use crate::detect::{MismatchKind, SegmentResult};
 use crate::memo::{Recording, SegmentCharge, VerdictMemo};
-use crate::packet::{LogKind, PacketRef};
+use crate::packet::{LogEntry, LogKind, Packet};
 use crate::rcpm::Ass;
 use flexstep_isa::inst::{AmoOp, AmoWidth};
 use flexstep_sim::port::{amo_apply, DataPort, PortStop};
@@ -153,7 +153,7 @@ impl<'a> ReplayPort<'a> {
     }
 
     /// The next packet the port would read.
-    pub(crate) fn head(&self) -> Option<PacketRef<'a>> {
+    pub(crate) fn head(&self) -> Option<&'a Packet> {
         let fifo: &'a BufferFifo = self.fifo;
         fifo.peek_ahead(self.consumer, self.read)
     }
@@ -161,20 +161,15 @@ impl<'a> ReplayPort<'a> {
     /// Takes the next log entry, expecting one of `want`; records a
     /// mismatch otherwise.
     ///
-    /// Only the (small) `LogEntry` is copied out; the packet stays in the
-    /// FIFO — packets are `ArchSnapshot`-sized and this runs once per
-    /// replayed memory access.
-    fn take_entry(
-        &mut self,
-        want: &[LogKind],
-        actual: &str,
-    ) -> Result<crate::packet::LogEntry, PortStop> {
+    /// Only the `LogEntry` is copied out; the packet stays in the FIFO,
+    /// read in place — this runs once per replayed memory access.
+    fn take_entry(&mut self, want: &[LogKind], actual: &str) -> Result<LogEntry, PortStop> {
         match self.head() {
-            Some(PacketRef::Mem(e)) if want.contains(&e.kind) => {
+            Some(Packet::Mem(e)) if want.contains(&e.kind) => {
                 self.read += 1;
                 Ok(*e)
             }
-            Some(PacketRef::Mem(e)) => {
+            Some(Packet::Mem(e)) => {
                 let kind = MismatchKind::LogKind {
                     expected: e.kind.to_string(),
                     actual: actual.to_string(),
@@ -189,12 +184,7 @@ impl<'a> ReplayPort<'a> {
         }
     }
 
-    fn check_addr_size(
-        &mut self,
-        entry: &crate::packet::LogEntry,
-        addr: u64,
-        size: u8,
-    ) -> Result<(), PortStop> {
+    fn check_addr_size(&mut self, entry: &LogEntry, addr: u64, size: u8) -> Result<(), PortStop> {
         if entry.addr != addr {
             let kind = MismatchKind::LogAddr {
                 expected: entry.addr,
@@ -291,7 +281,7 @@ impl DataPort for ReplayPort<'_> {
         // replaying an in-order main leaves this a no-hint no-op, so the
         // in-order datapath is bit-for-bit unchanged.
         match self.head() {
-            Some(PacketRef::Branch(expected)) => {
+            Some(&Packet::Branch(expected)) => {
                 self.read += 1;
                 if expected == actual_next_pc {
                     Ok(true)
@@ -312,7 +302,6 @@ impl DataPort for ReplayPort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{LogEntry, Packet};
 
     fn fifo_with(entries: &[LogEntry]) -> BufferFifo {
         let mut f = BufferFifo::new(4096, 4);

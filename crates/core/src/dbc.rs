@@ -9,11 +9,12 @@
 //! This is what makes triple-core mode (1 : 2) slightly slower than
 //! dual-core mode in Fig. 6 — the slower checker gates reclamation and
 //! back-pressures the main core sooner.
+//!
+//! The FIFO queues [`Packet`]s as they are, checkpoints in the `Box` each
+//! SCP/ECP packet carries; readers borrow `&Packet` in place, and only
+//! the fault injectors get `&mut Packet`.
 
-use crate::packet::{
-    entry_bytes, hash_mix, hash_snapshot, Checkpoint, CpHandle, CpSlab, LogEntry, Packet,
-    PacketMut, PacketRef, HASH_SEED,
-};
+use crate::packet::{hash_mix, hash_snapshot, Checkpoint, Packet, HASH_SEED};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -56,28 +57,6 @@ impl fmt::Display for FifoFull {
 
 impl std::error::Error for FifoFull {}
 
-/// One stream position in the FIFO. Entry-class payloads are stored
-/// inline; checkpoint payloads (>0.5 KiB of [`ArchSnapshot`]) live out of
-/// line in the checkpoint slab behind generation-checked handles — the
-/// in-order queue stays small and cache-resident, mirroring the paper's
-/// physical split between the DBC entry SRAM and the ASS checkpoint
-/// slots.
-///
-/// [`ArchSnapshot`]: flexstep_sim::ArchSnapshot
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// SCP; payload behind a generation-checked slab handle.
-    Scp(CpHandle),
-    /// A memory-access log entry, inline.
-    Mem(LogEntry),
-    /// A forwarded branch outcome (`next_pc`), inline.
-    Branch(u64),
-    /// The segment's instruction count, inline.
-    InstCount(u64),
-    /// ECP; payload behind a generation-checked slab handle.
-    Ecp(CpHandle),
-}
-
 /// An SRAM data-buffer FIFO with independent consumer cursors.
 ///
 /// Capacity is accounted per packet class, mirroring the paper's storage
@@ -92,11 +71,8 @@ pub struct BufferFifo {
     entry_capacity: usize,
     checkpoint_slots: usize,
     spill: bool,
-    /// Stream positions not yet consumed by *all* consumers, oldest
-    /// first.
-    queue: VecDeque<Slot>,
-    /// Out-of-line checkpoint payloads, slab-allocated.
-    slab: CpSlab,
+    /// Packets not yet consumed by *all* consumers, oldest first.
+    queue: VecDeque<Packet>,
     /// Absolute sequence number of `queue[0]`.
     head_seq: u64,
     /// Running fingerprint of the currently-open segment (everything
@@ -143,7 +119,6 @@ impl BufferFifo {
             checkpoint_slots,
             spill: false,
             queue: VecDeque::new(),
-            slab: CpSlab::default(),
             head_seq: 0,
             seg_hash: HASH_SEED,
             seg_hash_poisoned: false,
@@ -162,9 +137,8 @@ impl BufferFifo {
     }
 
     /// Enables or disables DMA spill to main memory: when enabled, pushes
-    /// never fail, but packets beyond SRAM capacity are counted in
-    /// [`BufferFifo::spilled`](Self::spilled_packets) so the engine can
-    /// charge DMA cycles.
+    /// never fail, and packets beyond SRAM capacity are counted in
+    /// [`BufferFifo::spilled_packets`] as DMA spill traffic.
     pub fn set_spill(&mut self, spill: bool) {
         self.spill = spill;
     }
@@ -248,10 +222,17 @@ impl BufferFifo {
         }
     }
 
-    /// Occupancy accounting for one packet about to be enqueued whose
+    /// Accounting, fingerprint fold and enqueue for a packet whose
     /// capacity was already checked (or that spills).
+    ///
+    /// Each packet folds a domain tag and then its payload into the open
+    /// segment's fingerprint — a checkpoint its architectural state, not
+    /// `seq` or `tag`. An ECP *finalises* the fingerprint: the running
+    /// hash (now covering SCP payload, every entry, the count and the ECP
+    /// payload) is banked in [`BufferFifo::seg_hashes`] — or `None` if an
+    /// in-flight mutation poisoned it — and reset for the next segment.
     #[inline]
-    fn note_push(&mut self, entry_bytes: usize, cps: usize) {
+    fn push_unchecked(&mut self, packet: Packet, entry_bytes: usize, cps: usize) {
         if self.used + entry_bytes > self.entry_capacity
             || self.checkpoints + cps > self.checkpoint_slots
         {
@@ -261,88 +242,26 @@ impl BufferFifo {
         self.checkpoints += cps;
         self.peak_used = self.peak_used.max(self.used);
         self.pushed += 1;
-    }
-
-    /// Enqueues an SCP, folding its architectural payload (not `seq`
-    /// or `tag`) into the open segment fingerprint.
-    #[inline]
-    fn enqueue_scp(&mut self, cp: Checkpoint) {
-        self.seg_hash = hash_snapshot(hash_mix(self.seg_hash, HASH_TAG_SCP), &cp.snapshot);
-        let h = self.slab.alloc(cp);
-        self.queue.push_back(Slot::Scp(h));
-    }
-
-    /// Enqueues a log entry, folding its fields into the fingerprint.
-    #[inline]
-    fn enqueue_mem(&mut self, e: LogEntry) {
-        let mut h = hash_mix(self.seg_hash, HASH_TAG_MEM);
-        h = hash_mix(h, ((e.kind as u64) << 8) | u64::from(e.size));
-        h = hash_mix(h, e.addr);
-        self.seg_hash = hash_mix(h, e.data);
-        self.queue.push_back(Slot::Mem(e));
-    }
-
-    /// Enqueues a forwarded branch outcome, folding it into the
-    /// fingerprint.
-    #[inline]
-    fn enqueue_branch(&mut self, next_pc: u64) {
-        self.seg_hash = hash_mix(hash_mix(self.seg_hash, HASH_TAG_BRANCH), next_pc);
-        self.queue.push_back(Slot::Branch(next_pc));
-    }
-
-    /// Enqueues an instruction count, folding it into the fingerprint.
-    #[inline]
-    fn enqueue_count(&mut self, v: u64) {
-        self.seg_hash = hash_mix(hash_mix(self.seg_hash, HASH_TAG_COUNT), v);
-        self.queue.push_back(Slot::InstCount(v));
-    }
-
-    /// Enqueues an ECP and *finalises* the segment fingerprint: the
-    /// running hash (now covering SCP payload, every entry, the count and
-    /// the ECP payload) is banked in [`BufferFifo::seg_hashes`] — or
-    /// `None` if an in-flight mutation poisoned it — and reset for the
-    /// next segment.
-    #[inline]
-    fn enqueue_ecp(&mut self, cp: Checkpoint) {
-        self.seg_hash = hash_snapshot(hash_mix(self.seg_hash, HASH_TAG_ECP), &cp.snapshot);
-        let finalised = (!self.seg_hash_poisoned).then_some(self.seg_hash);
-        self.seg_hashes.push_back(finalised);
-        self.seg_hash = HASH_SEED;
-        self.seg_hash_poisoned = false;
-        let h = self.slab.alloc(cp);
-        self.ecps_pushed += 1;
-        self.queue.push_back(Slot::Ecp(h));
-    }
-
-    /// Accounting + enqueue for a packet whose capacity was already
-    /// checked (or that spills).
-    #[inline]
-    fn push_unchecked(&mut self, packet: Packet, entry_bytes: usize, cps: usize) {
-        self.note_push(entry_bytes, cps);
-        match packet {
-            Packet::Mem(e) => self.enqueue_mem(e),
-            Packet::Branch(pc) => self.enqueue_branch(pc),
-            Packet::InstCount(v) => self.enqueue_count(v),
-            Packet::Scp(cp) => self.enqueue_scp(*cp),
-            Packet::Ecp(cp) => self.enqueue_ecp(*cp),
-        }
-    }
-
-    /// Resolves a slot to a borrowed packet view.
-    #[inline]
-    fn slot_ref<'a>(&'a self, slot: &'a Slot) -> PacketRef<'a> {
-        let cp = |h: &CpHandle| {
-            self.slab
-                .get(*h)
-                .expect("buffered checkpoint handle is live")
+        let h = self.seg_hash;
+        self.seg_hash = match &packet {
+            Packet::Scp(cp) => hash_snapshot(hash_mix(h, HASH_TAG_SCP), &cp.snapshot),
+            Packet::Mem(e) => {
+                let h = hash_mix(h, HASH_TAG_MEM);
+                let h = hash_mix(h, ((e.kind as u64) << 8) | u64::from(e.size));
+                hash_mix(hash_mix(h, e.addr), e.data)
+            }
+            Packet::Branch(pc) => hash_mix(hash_mix(h, HASH_TAG_BRANCH), *pc),
+            Packet::InstCount(v) => hash_mix(hash_mix(h, HASH_TAG_COUNT), *v),
+            Packet::Ecp(cp) => hash_snapshot(hash_mix(h, HASH_TAG_ECP), &cp.snapshot),
         };
-        match slot {
-            Slot::Mem(e) => PacketRef::Mem(e),
-            Slot::Branch(pc) => PacketRef::Branch(*pc),
-            Slot::InstCount(v) => PacketRef::InstCount(*v),
-            Slot::Scp(h) => PacketRef::Scp(cp(h)),
-            Slot::Ecp(h) => PacketRef::Ecp(cp(h)),
+        if matches!(packet, Packet::Ecp(_)) {
+            let finalised = (!self.seg_hash_poisoned).then_some(self.seg_hash);
+            self.seg_hashes.push_back(finalised);
+            self.seg_hash = HASH_SEED;
+            self.seg_hash_poisoned = false;
+            self.ecps_pushed += 1;
         }
+        self.queue.push_back(packet);
     }
 
     /// Whether all consumers have drained everything.
@@ -370,11 +289,7 @@ impl BufferFifo {
     /// the whole burst fits (or spills) and is enqueued in order, or
     /// nothing is enqueued. This is the producer half of the
     /// segment-granular datapath — the engine pushes a retire's log
-    /// entries and a segment-close `InstCount`+ECP pair as one burst.
-    ///
-    /// Borrowed packets are cloned in; the hot path uses
-    /// [`BufferFifo::push_burst_owned`] to move boxed checkpoint
-    /// payloads without the extra allocation.
+    /// entries as one burst. Packets are cloned in.
     ///
     /// # Errors
     ///
@@ -399,40 +314,8 @@ impl BufferFifo {
         Ok(())
     }
 
-    /// [`BufferFifo::push_burst`] taking the packets by value: boxed
-    /// checkpoint payloads move straight into the ring with no clone —
-    /// the engine's segment open/close path uses this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FifoFull`] with the burst's aggregate byte/slot need
-    /// when it does not fit; with spill enabled, never fails.
-    pub fn push_burst_owned<const N: usize>(
-        &mut self,
-        packets: [Packet; N],
-    ) -> Result<(), FifoFull> {
-        let mut total_bytes = 0;
-        let mut total_cps = 0;
-        for p in &packets {
-            let (b, c) = Self::cost(p);
-            total_bytes += b;
-            total_cps += c;
-        }
-        if !self.can_accept(total_bytes, total_cps) {
-            return Err(self.full_error(total_bytes, total_cps));
-        }
-        self.queue.reserve(N);
-        for p in packets {
-            let (b, c) = Self::cost(&p);
-            self.push_unchecked(p, b, c);
-        }
-        Ok(())
-    }
-
-    /// Pushes a segment-opening SCP straight into the checkpoint slab —
-    /// the engine's hot-loop entry point, taking the checkpoint by value
-    /// with no intermediate `Box` allocation ([`Packet`] keeps its boxed
-    /// variants for the public API boundary only).
+    /// Pushes a segment-opening SCP, boxing the checkpoint — the
+    /// engine's segment-open path.
     ///
     /// # Errors
     ///
@@ -442,15 +325,13 @@ impl BufferFifo {
         if !self.can_accept(0, 1) {
             return Err(self.full_error(0, 1));
         }
-        self.note_push(0, 1);
-        self.enqueue_scp(cp);
+        self.push_unchecked(Packet::scp(cp), 0, 1);
         Ok(())
     }
 
     /// Pushes a segment-closing `InstCount` + ECP pair under a single
     /// capacity check (all-or-nothing, like [`BufferFifo::push_burst`]),
-    /// taking the checkpoint by value with no `Box` — the engine's
-    /// hot-loop segment-close path.
+    /// boxing the checkpoint — the engine's segment-close path.
     ///
     /// # Errors
     ///
@@ -460,22 +341,18 @@ impl BufferFifo {
         if !self.can_accept(8, 1) {
             return Err(self.full_error(8, 1));
         }
-        self.note_push(8, 0);
-        self.enqueue_count(count);
-        self.note_push(0, 1);
-        self.enqueue_ecp(cp);
+        self.push_unchecked(Packet::InstCount(count), 8, 0);
+        self.push_unchecked(Packet::ecp(cp), 0, 1);
         Ok(())
     }
 
-    /// Peeks the next packet for `consumer` without consuming it. The
-    /// packet is handed out *by reference* ([`PacketRef`]) — checkpoint
-    /// payloads are >0.5 KiB and the hot path must not move them.
+    /// Peeks the next packet for `consumer` without consuming it.
     ///
     /// # Panics
     ///
     /// Panics if `consumer` is out of range.
     #[inline]
-    pub fn peek(&self, consumer: usize) -> Option<PacketRef<'_>> {
+    pub fn peek(&self, consumer: usize) -> Option<&Packet> {
         self.peek_ahead(consumer, 0)
     }
 
@@ -487,15 +364,14 @@ impl BufferFifo {
     ///
     /// Panics if `consumer` is out of range.
     #[inline]
-    pub(crate) fn peek_ahead(&self, consumer: usize, offset: usize) -> Option<PacketRef<'_>> {
+    pub(crate) fn peek_ahead(&self, consumer: usize, offset: usize) -> Option<&Packet> {
         let idx = (self.cursors[consumer] - self.head_seq) as usize + offset;
-        self.queue.get(idx).map(|s| self.slot_ref(s))
+        self.queue.get(idx)
     }
 
     /// Consumes the next packet for `consumer` *without returning it* —
-    /// the zero-copy companion of [`BufferFifo::peek`]. Packets are
-    /// ~`ArchSnapshot`-sized, so the replay hot path borrows via `peek`
-    /// and then advances, never copying the packet out.
+    /// the companion of [`BufferFifo::peek`]: the replay path reads the
+    /// packet in place and then advances, never cloning it out.
     ///
     /// Returns `false` if the consumer has no packet ahead.
     ///
@@ -507,7 +383,7 @@ impl BufferFifo {
         let pos = self.cursors[consumer];
         let idx = (pos - self.head_seq) as usize;
         let is_ecp = match self.queue.get(idx) {
-            Some(s) => matches!(s, Slot::Ecp(_)),
+            Some(p) => matches!(p, Packet::Ecp(_)),
             None => return false,
         };
         self.cursors[consumer] = pos + 1;
@@ -529,37 +405,19 @@ impl BufferFifo {
         if self.cursors.len() == 1 && self.cursors[0] == self.head_seq {
             // Single consumer at the head: the packet is reclaimed the
             // moment it is consumed — pop the queue directly.
-            let slot = self.queue.pop_front()?;
+            let packet = self.queue.pop_front()?;
             self.cursors[0] += 1;
             self.head_seq += 1;
-            let packet = match slot {
-                Slot::Mem(e) => {
-                    self.used -= entry_bytes(&e);
-                    Packet::Mem(e)
-                }
-                Slot::Branch(pc) => {
-                    self.used -= 8;
-                    Packet::Branch(pc)
-                }
-                Slot::InstCount(v) => {
-                    self.used -= 8;
-                    Packet::InstCount(v)
-                }
-                Slot::Scp(h) => {
-                    self.checkpoints -= 1;
-                    Packet::scp(self.slab.free(h))
-                }
-                Slot::Ecp(h) => {
-                    self.checkpoints -= 1;
-                    self.ecps_consumed[0] += 1;
-                    let cp = self.slab.free(h);
-                    self.gc_seg_hashes();
-                    Packet::ecp(cp)
-                }
-            };
+            let (entry_bytes, cps) = Self::cost(&packet);
+            self.used -= entry_bytes;
+            self.checkpoints -= cps;
+            if matches!(packet, Packet::Ecp(_)) {
+                self.ecps_consumed[0] += 1;
+                self.gc_seg_hashes();
+            }
             return Some(packet);
         }
-        let packet = self.peek(consumer)?.to_packet();
+        let packet = self.peek(consumer)?.clone();
         self.advance(consumer);
         Some(packet)
     }
@@ -588,7 +446,7 @@ impl BufferFifo {
             .queue
             .iter()
             .skip(idx)
-            .position(|s| matches!(s, Slot::Ecp(_)))
+            .position(|p| matches!(p, Packet::Ecp(_)))
             .expect("a complete segment must end in an ECP")
             + 1;
         Some(len)
@@ -609,7 +467,7 @@ impl BufferFifo {
         }
         debug_assert!(n <= self.backlog(consumer), "advance past the stream");
         debug_assert!(
-            (0..n).all(|i| !matches!(self.peek_ahead(consumer, i), Some(PacketRef::Ecp(_)))),
+            (0..n).all(|i| !matches!(self.peek_ahead(consumer, i), Some(Packet::Ecp(_)))),
             "an in-segment advance never crosses an ECP"
         );
         self.advance_n(consumer, n, 0);
@@ -640,13 +498,7 @@ impl BufferFifo {
     pub fn drain_segment_into(&mut self, consumer: usize, out: &mut Vec<Packet>) -> Option<usize> {
         let len = self.segment_len_ahead(consumer)?;
         let idx = (self.cursors[consumer] - self.head_seq) as usize;
-        out.extend(
-            self.queue
-                .iter()
-                .skip(idx)
-                .take(len)
-                .map(|s| self.slot_ref(s).to_packet()),
-        );
+        out.extend(self.queue.iter().skip(idx).take(len).cloned());
         self.advance_n(consumer, len, 1);
         Some(len)
     }
@@ -727,15 +579,10 @@ impl BufferFifo {
     fn reclaim(&mut self) {
         let min_pos = *self.cursors.iter().min().expect("at least one consumer");
         while self.head_seq < min_pos {
-            let slot = self.queue.pop_front().expect("cursor past queue head");
-            match slot {
-                Slot::Mem(e) => self.used -= entry_bytes(&e),
-                Slot::Branch(_) | Slot::InstCount(_) => self.used -= 8,
-                Slot::Scp(h) | Slot::Ecp(h) => {
-                    self.checkpoints -= 1;
-                    self.slab.free(h);
-                }
-            }
+            let packet = self.queue.pop_front().expect("cursor past queue head");
+            let (entry_bytes, cps) = Self::cost(&packet);
+            self.used -= entry_bytes;
+            self.checkpoints -= cps;
             self.head_seq += 1;
         }
         self.at_min = self.cursors.iter().filter(|&&c| c == min_pos).count();
@@ -758,7 +605,6 @@ impl BufferFifo {
     pub fn reset(&mut self) {
         let dropped = self.queue.len() as u64;
         self.queue.clear();
-        self.slab.clear();
         self.seg_hashes.clear();
         self.seg_hash_head = self.ecps_pushed;
         self.seg_hash = HASH_SEED;
@@ -777,34 +623,25 @@ impl BufferFifo {
         }
     }
 
-    /// Borrowed view of a buffered packet by queue index (fault-injection
-    /// candidate scans).
-    pub(crate) fn packet_ref_at(&self, idx: usize) -> Option<PacketRef<'_>> {
-        self.queue.get(idx).map(|s| self.slot_ref(s))
-    }
-
-    /// Copy of a buffered packet by queue index (test convenience).
-    #[cfg(test)]
-    pub(crate) fn packet_at(&self, idx: usize) -> Option<Packet> {
-        self.packet_ref_at(idx).map(|r| r.to_packet())
+    /// A buffered packet by queue index (fault-injection candidate
+    /// scans).
+    pub(crate) fn packet_at(&self, idx: usize) -> Option<&Packet> {
+        self.queue.get(idx)
     }
 
     /// Mutable access to a buffered packet by queue index (fault
     /// injection into in-flight data).
     ///
-    /// Handing out the mutable view *poisons every buffered segment
+    /// Handing out the packet *poisons every buffered segment
     /// fingerprint* (banked and open): a mutated stream no longer matches
     /// the hash computed at push time, and a poisoned fingerprint can
     /// never be looked up in — or inserted into — the verdict memo, so a
     /// faulted stream is structurally incapable of being served from
     /// cache.
-    pub(crate) fn packet_mut(&mut self, idx: usize) -> Option<PacketMut<'_>> {
-        // Checkpoint payloads live in the slab: resolve the handle first
-        // so the queue borrow ends before the slab is borrowed mutably.
-        let handle = match self.queue.get(idx)? {
-            Slot::Scp(h) | Slot::Ecp(h) => Some(*h),
-            _ => None,
-        };
+    pub(crate) fn packet_mut(&mut self, idx: usize) -> Option<&mut Packet> {
+        if idx >= self.queue.len() {
+            return None;
+        }
         for banked in &mut self.seg_hashes {
             *banked = None;
         }
@@ -815,28 +652,11 @@ impl BufferFifo {
             .queue
             .iter()
             .skip(idx)
-            .any(|s| matches!(s, Slot::Ecp(_)))
+            .any(|p| matches!(p, Packet::Ecp(_)))
         {
             self.seg_hash_poisoned = true;
         }
-        if let Some(h) = handle {
-            let is_scp = matches!(self.queue[idx], Slot::Scp(_));
-            let cp = self
-                .slab
-                .get_mut(h)
-                .expect("buffered checkpoint handle is live");
-            return Some(if is_scp {
-                PacketMut::Scp(cp)
-            } else {
-                PacketMut::Ecp(cp)
-            });
-        }
-        match self.queue.get_mut(idx)? {
-            Slot::Mem(e) => Some(PacketMut::Mem(e)),
-            Slot::Branch(pc) => Some(PacketMut::Branch(pc)),
-            Slot::InstCount(v) => Some(PacketMut::InstCount(v)),
-            Slot::Scp(_) | Slot::Ecp(_) => unreachable!("handled above"),
-        }
+        self.queue.get_mut(idx)
     }
 
     /// Number of packets currently buffered.
@@ -854,6 +674,7 @@ impl BufferFifo {
 mod tests {
     use super::*;
     use crate::packet::{LogEntry, LogKind};
+    use flexstep_sim::ArchState;
 
     fn entry(data: u64) -> Packet {
         Packet::Mem(LogEntry {
@@ -895,8 +716,6 @@ mod tests {
 
     #[test]
     fn rejected_checkpoint_reports_slot_need() {
-        use crate::packet::Checkpoint;
-        use flexstep_sim::ArchState;
         let cp = |n: u64| {
             Packet::scp(Checkpoint {
                 snapshot: ArchState::new(n).snapshot(),
@@ -932,9 +751,9 @@ mod tests {
     }
 
     #[test]
-    fn push_burst_owned_matches_borrowed_burst() {
-        use crate::packet::Checkpoint;
-        use flexstep_sim::ArchState;
+    fn borrowed_burst_matches_owned_pushes() {
+        // Owned packets pushed one by one and the same packets pushed as
+        // one borrowed burst come out alike, checkpoint boxes included.
         let cp = Packet::ecp(Checkpoint {
             snapshot: ArchState::new(3).snapshot(),
             seq: 0,
@@ -945,18 +764,47 @@ mod tests {
             .push_burst(&[Packet::InstCount(2), cp.clone()])
             .unwrap();
         let mut owned = BufferFifo::new(64, 2);
-        owned
-            .push_burst_owned([Packet::InstCount(2), cp.clone()])
-            .unwrap();
+        owned.push(Packet::InstCount(2)).unwrap();
+        owned.push(cp.clone()).unwrap();
+        assert_eq!(borrowed.next_segment_hash(0), owned.next_segment_hash(0));
         for c in [&mut borrowed, &mut owned] {
             assert_eq!(c.pop(0), Some(Packet::InstCount(2)));
             assert_eq!(c.pop(0), Some(cp.clone()));
         }
-        // All-or-nothing holds for the owned variant too.
+        // A burst that does not fit is refused whole.
         let mut tight = BufferFifo::new(24, 2);
-        let err = tight.push_burst_owned([entry(1), entry(2)]).unwrap_err();
-        assert_eq!(err.needed, 32, "owned burst reports aggregate need");
-        assert_eq!(tight.len(), 0, "failed owned burst enqueues nothing");
+        let err = tight.push_burst(&[entry(1), entry(2)]).unwrap_err();
+        assert_eq!(err.needed, 32, "burst reports aggregate need");
+        assert_eq!(tight.len(), 0, "failed burst enqueues nothing");
+    }
+
+    #[test]
+    fn refused_count_ecp_enqueues_nothing() {
+        let cp = |n: u64| Checkpoint {
+            snapshot: ArchState::new(n).snapshot(),
+            seq: n,
+            tag: 0,
+        };
+        let mut f = BufferFifo::new(64, 1);
+        f.push_scp(cp(0)).unwrap();
+        f.push(entry(1)).unwrap();
+        let err = f.push_count_ecp(1, cp(0)).unwrap_err();
+        assert_eq!(
+            err,
+            FifoFull {
+                needed: 8,
+                free: 48,
+                needed_slots: 1,
+                free_slots: 0,
+            },
+            "the pair reports its aggregate need"
+        );
+        assert_eq!(f.len(), 2, "neither the count nor the ECP went in");
+        assert_eq!(f.used_bytes(), 16);
+        assert_eq!(f.checkpoints_in_flight(), 1);
+        assert_eq!(f.total_pushed(), 2);
+        assert_eq!(f.complete_segments_ahead(0), 0);
+        assert_eq!(f.next_segment_hash(0), None);
     }
 
     #[test]
@@ -965,7 +813,7 @@ mod tests {
         f.push(entry(1)).unwrap();
         f.push(entry(2)).unwrap();
         assert!(f.advance(0));
-        assert_eq!(f.peek(0).map(|r| r.to_packet()), Some(entry(2)));
+        assert_eq!(f.peek(0), Some(&entry(2)));
         assert_eq!(f.used_bytes(), 16, "advanced packet was reclaimed");
         assert!(f.advance(0));
         assert!(!f.advance(0), "nothing left");
@@ -989,14 +837,14 @@ mod tests {
         }
         bulk.advance_in_segment(1, 4);
         for f in [&single, &bulk] {
-            assert_eq!(f.peek_ahead(1, 0).map(|r| r.to_packet()), Some(entry(4)));
+            assert_eq!(f.peek_ahead(1, 0), Some(&entry(4)));
         }
         assert_eq!(single.len(), bulk.len(), "same storage reclaimed");
         assert_eq!(single.used_bytes(), bulk.used_bytes());
         assert_eq!(single.at_min, bulk.at_min);
         assert_eq!(single.cursors, bulk.cursors);
         // Reads ahead of the cursor consume nothing.
-        assert_eq!(bulk.peek_ahead(0, 1).map(|r| r.to_packet()), Some(entry(2)));
+        assert_eq!(bulk.peek_ahead(0, 1), Some(&entry(2)));
         assert_eq!(bulk.backlog(0), 5);
         bulk.advance_in_segment(0, 0);
         assert_eq!(bulk.backlog(0), 5, "an empty commit is a no-op");
@@ -1004,8 +852,6 @@ mod tests {
 
     #[test]
     fn drain_segment_hands_whole_segment() {
-        use crate::packet::Checkpoint;
-        use flexstep_sim::ArchState;
         let snap = ArchState::new(0).snapshot();
         let scp = Packet::scp(Checkpoint {
             snapshot: snap,
@@ -1035,7 +881,7 @@ mod tests {
         let mut f3 = f.clone();
         f3.push(entry(9)).unwrap();
         assert_eq!(f3.skip_segment(0), Some(5));
-        assert_eq!(f3.peek(0).map(|r| r.to_packet()), Some(entry(9)));
+        assert_eq!(f3.peek(0), Some(&entry(9)));
         assert_eq!(f3.len(), 1, "segment storage reclaimed in one pass");
         assert_eq!(f3.complete_segments_ahead(0), 0);
     }
@@ -1062,8 +908,8 @@ mod tests {
     fn peek_does_not_consume() {
         let mut f = BufferFifo::new(64, 2);
         f.push(entry(9)).unwrap();
-        assert_eq!(f.peek(0).map(|r| r.to_packet()), Some(entry(9)));
-        assert_eq!(f.peek(0).map(|r| r.to_packet()), Some(entry(9)));
+        assert_eq!(f.peek(0), Some(&entry(9)));
+        assert_eq!(f.peek(0), Some(&entry(9)));
         assert_eq!(f.backlog(0), 1);
         f.pop(0);
         assert!(f.peek(0).is_none());
@@ -1105,9 +951,6 @@ mod tests {
         f.set_consumers(2);
     }
 
-    use crate::packet::Checkpoint;
-    use flexstep_sim::ArchState;
-
     /// Pushes one complete segment `[SCP, entry(d1), entry(d2), IC, ECP]`
     /// built from `hart`'s reset state, with checkpoint bookkeeping
     /// `seq`/`tag`.
@@ -1121,7 +964,7 @@ mod tests {
         .unwrap();
         f.push(entry(d[0])).unwrap();
         f.push(entry(d[1])).unwrap();
-        f.push_burst_owned([
+        f.push_burst(&[
             Packet::InstCount(2),
             Packet::ecp(Checkpoint {
                 snapshot: snap,
@@ -1162,7 +1005,7 @@ mod tests {
         .unwrap();
         f.push(entry(1)).unwrap();
         assert_eq!(f.next_segment_hash(0), None, "no ECP pushed yet");
-        f.push_burst_owned([
+        f.push_burst(&[
             Packet::InstCount(1),
             Packet::ecp(Checkpoint {
                 snapshot: snap,
@@ -1191,7 +1034,7 @@ mod tests {
         boxed.push(Packet::scp(scp)).unwrap();
         boxed.push(entry(9)).unwrap();
         boxed
-            .push_burst_owned([Packet::InstCount(1), Packet::ecp(ecp)])
+            .push_burst(&[Packet::InstCount(1), Packet::ecp(ecp)])
             .unwrap();
         let mut direct = BufferFifo::new(4096, 8);
         direct.push_scp(scp).unwrap();
@@ -1213,7 +1056,7 @@ mod tests {
         push_segment(&mut f, 1, [30, 40], 1, 0);
         assert!(f.next_segment_hash(0).is_some());
         // Mutate one in-flight entry (what fault injection does).
-        if let Some(PacketMut::Mem(e)) = f.packet_mut(1) {
+        if let Some(Packet::Mem(e)) = f.packet_mut(1) {
             e.data ^= 1 << 4;
         } else {
             panic!("expected a mem entry at index 1");
@@ -1240,11 +1083,11 @@ mod tests {
         .unwrap();
         f.push(entry(1)).unwrap();
         // Mutate while the segment is still open...
-        if let Some(PacketMut::Mem(e)) = f.packet_mut(1) {
+        if let Some(Packet::Mem(e)) = f.packet_mut(1) {
             e.data = 99;
         }
         // ...then close it: the finalised fingerprint must be poisoned.
-        f.push_burst_owned([
+        f.push_burst(&[
             Packet::InstCount(1),
             Packet::ecp(Checkpoint {
                 snapshot: snap,
@@ -1256,43 +1099,52 @@ mod tests {
         assert_eq!(f.next_segment_hash(0), None);
     }
 
+    fn storage(f: &BufferFifo) -> (usize, usize, usize) {
+        (f.used_bytes(), f.checkpoints_in_flight(), f.len())
+    }
+
     #[test]
     fn slab_handles_die_across_skip_and_drain_resync() {
+        // Two consumers, so the storage is reclaimed only once both pass
+        // a segment: skip on one and drain on the other must each leave
+        // the other's view intact, and the last one frees its entry bytes
+        // and checkpoint slots.
         let mut f = BufferFifo::new(4096, 8);
         f.set_spill(true);
+        f.set_consumers(2);
         push_segment(&mut f, 1, [10, 20], 0, 0);
         push_segment(&mut f, 2, [30, 40], 1, 0);
-        // Capture the handles of the first segment's SCP and ECP straight
-        // from the queue slots.
-        let (scp_h, ecp_h) = match (f.queue[0], f.queue[4]) {
-            (Slot::Scp(s), Slot::Ecp(e)) => (s, e),
-            other => panic!("unexpected slots: {other:?}"),
-        };
-        assert_eq!(f.slab.get(scp_h).unwrap().seq, 0);
-        // Abort/resync path: skip the whole segment.
-        f.skip_segment(0).unwrap();
-        assert!(f.slab.get(scp_h).is_none(), "SCP handle freed on skip");
-        assert!(f.slab.get(ecp_h).is_none(), "ECP handle freed on skip");
-        // The second segment recycles slab slots under new generations;
-        // its packets are intact and the stale handles still miss.
-        let seg = f.drain_segment(0).unwrap();
-        assert_eq!(seg.len(), 5);
-        assert!(f.slab.get(scp_h).is_none(), "stale handle stays dead");
-        assert_eq!(f.slab.live(), 0, "drain freed the recycled slots too");
+        assert_eq!(storage(&f), (2 * 40, 4, 10));
+        assert_eq!(f.skip_segment(0), Some(5));
+        assert_eq!(storage(&f), (2 * 40, 4, 10), "consumer 1 still holds it");
+        assert_eq!(f.drain_segment(1).map(|s| s.len()), Some(5));
+        assert_eq!(storage(&f), (40, 2, 5), "both passed segment 0");
+        assert_eq!(f.drain_segment(0).map(|s| s.len()), Some(5));
+        assert_eq!(f.skip_segment(1), Some(5));
+        assert_eq!(storage(&f), (0, 0, 0), "both passed segment 1");
     }
 
     #[test]
     fn reset_frees_all_slab_storage() {
+        // Reset returns whatever is still buffered, open segment included.
         let mut f = BufferFifo::new(4096, 8);
         f.set_spill(true);
-        push_segment(&mut f, 1, [10, 20], 0, 0);
-        let h = match f.queue[0] {
-            Slot::Scp(h) => h,
-            _ => unreachable!(),
-        };
+        f.set_consumers(2);
+        push_segment(&mut f, 3, [50, 60], 2, 0);
+        f.push_scp(Checkpoint {
+            snapshot: ArchState::new(4).snapshot(),
+            seq: 3,
+            tag: 0,
+        })
+        .unwrap();
+        f.push(entry(70)).unwrap();
+        assert_eq!(storage(&f), (56, 3, 7));
         f.reset();
-        assert!(f.slab.get(h).is_none(), "reset invalidates handles");
-        assert_eq!(f.slab.live(), 0);
+        assert_eq!(storage(&f), (0, 0, 0));
+        assert_eq!(f.complete_segments_ahead(0), 0);
         assert_eq!(f.next_segment_hash(0), None);
+        // The FIFO stays usable: a fresh segment fingerprints again.
+        push_segment(&mut f, 1, [10, 20], 4, 0);
+        assert!(f.next_segment_hash(1).is_some());
     }
 }

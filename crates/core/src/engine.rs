@@ -20,7 +20,7 @@ use crate::checker::{CheckPhase, CheckerState, ReplayPort};
 use crate::detect::{DetectionEvent, MismatchKind, SegmentResult};
 use crate::fabric::{CoreAttr, CoreUnit, Fabric, FabricConfig, FlexError};
 use crate::memo::Recording;
-use crate::packet::{hash_snapshot, log_entries, Packet, PacketRef, HASH_SEED};
+use crate::packet::{hash_snapshot, log_entries, Packet, HASH_SEED};
 use crate::rcpm::SegmentClose;
 use flexstep_isa::inst::{FlexOp, InstClass};
 use flexstep_isa::XReg;
@@ -116,16 +116,6 @@ impl FlexSoc {
             main_horizon: u64::MAX,
             replay_horizon: 0,
         })
-    }
-
-    /// Whether the fabric runs in the regime blocks are exact in: DMA
-    /// spill on, so a checker starts a segment only once it is fully
-    /// buffered, and free DMA, so FIFO occupancy never feeds back into
-    /// the producer's timing. Main blocks log, checker replay blocks
-    /// replay and the verdict memo is looked up only here.
-    fn blocks_exact(&self) -> bool {
-        let cfg = self.fabric.config();
-        cfg.dma_spill && cfg.dma_cycles == 0
     }
 
     // ----- Tab. I custom-ISA operations ------------------------------------
@@ -357,10 +347,12 @@ impl FlexSoc {
     /// (IC + ECP burst) always happens on the per-step path, and the
     /// byte reserve covers two log entries (or one branch outcome) per
     /// retire, so every in-block push has the space the per-step gate
-    /// would have demanded. Needs [`FlexSoc::blocks_exact`]: with free
-    /// DMA the spill charge the per-step path makes is zero.
+    /// would have demanded. Runs only with DMA spill on, the regime every
+    /// block is exact in: pushes never fail or stall the producer, so
+    /// FIFO occupancy cannot feed back into the main's timing. Checker
+    /// replay blocks and verdict-memo lookups need the same regime.
     fn logged_block(&mut self, core: usize) -> u64 {
-        if !self.blocks_exact() {
+        if !self.fabric.config().dma_spill {
             return 0;
         }
         let unit = self.fabric.unit(core);
@@ -373,17 +365,11 @@ impl FlexSoc {
         // Split borrows: the sink writes the *fabric* unit's FIFO and
         // tracker while the block runs on the *soc* — disjoint fields.
         let unit = self.fabric.unit_mut(core);
-        let retired = self
-            .soc
+        self.soc
             .run_main_block(core, budget, self.main_horizon, |retired| {
                 let at_limit = log_retire(unit, retired, forwards_branches);
                 debug_assert!(!at_limit, "block budget keeps the segment open");
-            });
-        // Keep the spill-accounting cursor in step for later per-step
-        // retires; the charge itself is zero.
-        let unit = self.fabric.unit_mut(core);
-        unit.spill_charged = unit.spill_charged.max(unit.fifo.spilled_packets());
-        retired
+            })
     }
 
     /// Closes the open segment on `core`, pushing the `InstCount` + ECP
@@ -412,24 +398,14 @@ impl FlexSoc {
         if log_retire(unit, retired, forwards_branches) {
             self.close_segment(core, SegmentClose::CountLimit);
         }
-        // Charge DMA cost for packets that spilled past the SRAM.
-        let dma_cycles = self.fabric.config().dma_cycles;
-        let unit = self.fabric.unit_mut(core);
-        let spilled = unit.fifo.spilled_packets();
-        if spilled > unit.spill_charged {
-            let new = spilled - unit.spill_charged;
-            unit.spill_charged = spilled;
-            self.soc.stall_core(core, dma_cycles * new);
-        }
     }
 
     /// Steps a busy checker core through the Al. 2 loop.
     ///
-    /// The stream head is always classified *by reference*: packets are
-    /// `ArchSnapshot`-sized, and this runs once per replayed instruction,
-    /// so the hot path copies out at most a few words (checkpoint
-    /// snapshots are restored/compared straight from the buffered
-    /// packet).
+    /// The stream head is always classified in place: this runs once per
+    /// replayed instruction, so the hot path copies out at most a few
+    /// words (checkpoint snapshots are restored/compared straight from
+    /// the buffered packet).
     pub fn step_checker(&mut self, core: usize) -> EngineStep {
         let Some((main, consumer)) = self.fabric.channel_of(core) else {
             return EngineStep::Idle;
@@ -446,7 +422,6 @@ impl FlexSoc {
                 return step;
             }
         }
-        let blocks = self.blocks_exact();
         let cfg = self.fabric.config();
         let dma_spill = cfg.dma_spill;
         let wait_cycles = cfg.checker_wait_cycles;
@@ -493,7 +468,7 @@ impl FlexSoc {
                 }
                 let head = match self.fabric.unit(main).fifo.peek(consumer) {
                     None => ScpHead::Empty,
-                    Some(PacketRef::Scp(cp)) => {
+                    Some(Packet::Scp(cp)) => {
                         let state = &mut self.soc.core_mut(core).state;
                         state.restore(&cp.snapshot);
                         state.prv = PrivMode::User;
@@ -543,7 +518,7 @@ impl FlexSoc {
                         // fingerprint is banked, no fault shot is armed
                         // on this channel, and no checker timer could
                         // preempt mid-replay.
-                        let memoizable = blocks
+                        let memoizable = dma_spill
                             && self.fabric.unit(core).checker.memo.is_enabled()
                             && !self.fabric.unit(main).memo_blocked
                             && self.soc.core(core).timer_cmp.is_none();
@@ -586,11 +561,11 @@ impl FlexSoc {
                 }
                 let head = match self.fabric.unit(main).fifo.peek(consumer) {
                     None => ReplayHead::Empty,
-                    Some(PacketRef::InstCount(v)) => ReplayHead::Count(v),
-                    Some(PacketRef::Scp(_)) | Some(PacketRef::Ecp(_)) => ReplayHead::Checkpoint,
+                    Some(Packet::InstCount(v)) => ReplayHead::Count(*v),
+                    Some(Packet::Scp(_) | Packet::Ecp(_)) => ReplayHead::Checkpoint,
                     // A forwarded branch outcome is consumed by the replay
                     // port mid-instruction, exactly like a log entry.
-                    Some(PacketRef::Mem(_)) | Some(PacketRef::Branch(_)) => ReplayHead::Entry,
+                    Some(Packet::Mem(_) | Packet::Branch(_)) => ReplayHead::Entry,
                 };
                 match head {
                     ReplayHead::Empty => {
@@ -636,10 +611,10 @@ impl FlexSoc {
                             count,
                             ic: Some(v),
                         };
-                        self.replay(core, main, consumer, seq, tag, blocks)
+                        self.replay(core, main, consumer, seq, tag, dma_spill)
                     }
                     ReplayHead::Checkpoint | ReplayHead::Entry => {
-                        self.replay(core, main, consumer, seq, tag, blocks)
+                        self.replay(core, main, consumer, seq, tag, dma_spill)
                     }
                 }
             }
@@ -653,7 +628,7 @@ impl FlexSoc {
                 }
                 let head = match self.fabric.unit(main).fifo.peek(consumer) {
                     None => EcpHead::Empty,
-                    Some(PacketRef::Ecp(cp)) => {
+                    Some(Packet::Ecp(cp)) => {
                         let mine = self.soc.core(core).state.snapshot();
                         EcpHead::Compared(cp.snapshot.diff(&mine))
                     }
@@ -784,14 +759,14 @@ impl FlexSoc {
         self.fabric.unit_mut(core).checker.playback = None;
         let inst_count = hit.inst_count;
         match self.fabric.unit(main).fifo.peek(consumer) {
-            Some(PacketRef::InstCount(v)) if v == inst_count => {}
+            Some(Packet::InstCount(v)) if *v == inst_count => {}
             other => panic!(
                 "verdict-memo playback desynced: expected InstCount({inst_count}), found {other:?}"
             ),
         }
         self.fabric.unit_mut(main).fifo.advance(consumer);
         match self.fabric.unit(main).fifo.peek(consumer) {
-            Some(PacketRef::Ecp(cp)) => self.soc.core_mut(core).state.restore(&cp.snapshot),
+            Some(Packet::Ecp(cp)) => self.soc.core_mut(core).state.restore(&cp.snapshot),
             other => panic!("verdict-memo playback desynced: expected ECP, found {other:?}"),
         }
         self.fabric.unit_mut(core).checker.phase = CheckPhase::WaitEcp {
@@ -811,9 +786,9 @@ impl FlexSoc {
         consumer: usize,
         seq: u64,
         tag: u64,
-        blocks: bool,
+        dma_spill: bool,
     ) -> EngineStep {
-        if blocks && self.replay_horizon > self.soc.now() {
+        if dma_spill && self.replay_horizon > self.soc.now() {
             let replayed = self.replay_block(core, main, consumer);
             if replayed > 0 {
                 return EngineStep::CheckerBlock { replayed };
@@ -1029,8 +1004,8 @@ impl ReplayControl for ReplayBlock<'_> {
             return false;
         }
         match self.port.head() {
-            Some(PacketRef::Mem(_) | PacketRef::Branch(_)) => true,
-            Some(PacketRef::InstCount(v)) if self.count < v => {
+            Some(Packet::Mem(_) | Packet::Branch(_)) => true,
+            Some(&Packet::InstCount(v)) if self.count < v => {
                 self.ic = Some(v);
                 true
             }
@@ -1059,7 +1034,7 @@ fn log_retire(unit: &mut CoreUnit, retired: &Retired, forwards_branches: bool) -
             // Multi-µop instructions push both entries as one burst.
             Some(second) => unit
                 .fifo
-                .push_burst_owned([Packet::Mem(first), Packet::Mem(second)])
+                .push_burst(&[Packet::Mem(first), Packet::Mem(second)])
                 .expect("space reserved"),
             None => unit.fifo.push(Packet::Mem(first)).expect("space reserved"),
         }

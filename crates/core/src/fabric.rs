@@ -53,11 +53,10 @@ pub struct FabricConfig {
     pub fifo_entry_bytes: usize,
     /// In-flight checkpoint slots (ASS double-buffering).
     pub checkpoint_slots: usize,
-    /// Allow spilling to main memory over DMA (§III-C), trading FIFO
-    /// bounds for extra DMA latency.
+    /// Allow spilling to main memory over DMA (§III-C): pushes never
+    /// fail, and the spill engine drains the SRAM in the background
+    /// without stalling the producing core.
     pub dma_spill: bool,
-    /// DMA cost per spilled packet, charged to the producing core.
-    pub dma_cycles: u64,
     /// Checking-segment instruction limit (§III-A: 5 000).
     pub segment_limit: u64,
     /// Main-core stall for capturing and forwarding an SCP.
@@ -91,11 +90,6 @@ impl FabricConfig {
             fifo_entry_bytes: 1088,
             checkpoint_slots: 4,
             dma_spill: true,
-            // The spill engine is an autonomous DMA: it drains the SRAM
-            // in the background without stalling the producing core, so
-            // the producer-side charge is zero; the cost appears as the
-            // checker reading spilled data at memory latency.
-            dma_cycles: 0,
             segment_limit: DEFAULT_SEGMENT_LIMIT,
             scp_extract_cycles: 32,
             ecp_extract_cycles: 32,
@@ -114,7 +108,6 @@ impl FabricConfig {
         FabricConfig {
             dma_spill: false,
             checkpoint_slots: 2,
-            dma_cycles: 16,
             ..Self::paper()
         }
     }
@@ -229,8 +222,6 @@ pub struct CoreUnit {
     pub checking_enabled: bool,
     /// Checker-role state (ASS, phase, results).
     pub checker: CheckerState,
-    /// Spilled packets already charged for DMA cost (engine bookkeeping).
-    pub(crate) spill_charged: u64,
     /// Main-role: cycles this core has stalled extracting checkpoints
     /// (SCP on segment open, IC+ECP on close) — the per-mode checkpoint
     /// overhead the reliability-policy accounting reports.
@@ -253,7 +244,6 @@ impl CoreUnit {
             fifo,
             checking_enabled: false,
             checker,
-            spill_charged: 0,
             cp_stall_cycles: 0,
             memo_blocked: false,
         }

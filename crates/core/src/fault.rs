@@ -8,7 +8,7 @@
 //! error-detection latency of Fig. 7.
 
 use crate::fabric::Fabric;
-use crate::packet::{PacketMut, PacketRef};
+use crate::packet::{LogKind, Packet};
 use rand::Rng;
 use std::fmt;
 
@@ -75,8 +75,8 @@ pub fn inject_random_fault<R: Rng>(
     let idx = rng.gen_range(0..len);
     let packet = unit.fifo.packet_mut(idx).expect("index in range");
     let (target, bit) = match packet {
-        PacketMut::Mem(e) => {
-            if rng.gen_bool(0.5) && !matches!(e.kind, crate::packet::LogKind::ScResult) {
+        Packet::Mem(e) => {
+            if rng.gen_bool(0.5) && !matches!(e.kind, LogKind::ScResult) {
                 let bit = rng.gen_range(0..32u32); // plausible physical address bits
                 e.addr ^= 1 << bit;
                 (FaultTarget::EntryAddr, bit)
@@ -86,17 +86,17 @@ pub fn inject_random_fault<R: Rng>(
                 (FaultTarget::EntryData, bit)
             }
         }
-        PacketMut::Scp(cp) | PacketMut::Ecp(cp) => {
+        Packet::Scp(cp) | Packet::Ecp(cp) => {
             let bit = rng.gen_range(0..(66 * 64) as u32);
             cp.snapshot.flip_bit(bit as usize);
             (FaultTarget::Checkpoint, bit)
         }
-        PacketMut::InstCount(v) => {
+        Packet::InstCount(v) => {
             let bit = rng.gen_range(0..8u32); // low bits keep counts plausible
             *v ^= 1 << bit;
             (FaultTarget::InstCount, bit)
         }
-        PacketMut::Branch(pc) => {
+        Packet::Branch(pc) => {
             // Instruction-aligned flips keep the corrupted target a
             // plausible pc (bits 0/1 would be trivially malformed).
             let bit = rng.gen_range(2..32u32);
@@ -150,19 +150,16 @@ pub fn inject_targeted_fault<R: Rng>(
     // Collect candidate packet indices of the requested class.
     let mut candidates = Vec::new();
     for idx in 0..len {
-        let p = unit.fifo.packet_ref_at(idx).expect("index in range");
+        let p = unit.fifo.packet_at(idx).expect("index in range");
         let matches = match (target, p) {
-            (FaultTarget::EntryAddr, PacketRef::Mem(e)) => {
+            (FaultTarget::EntryAddr, Packet::Mem(e)) => {
                 // Supplementary µop entries carry no address.
-                !matches!(
-                    e.kind,
-                    crate::packet::LogKind::ScResult | crate::packet::LogKind::AmoLoad
-                )
+                !matches!(e.kind, LogKind::ScResult | LogKind::AmoLoad)
             }
-            (FaultTarget::EntryData, PacketRef::Mem(_)) => true,
-            (FaultTarget::Checkpoint, PacketRef::Scp(_) | PacketRef::Ecp(_)) => true,
-            (FaultTarget::InstCount, PacketRef::InstCount(_)) => true,
-            (FaultTarget::BranchOutcome, PacketRef::Branch(_)) => true,
+            (FaultTarget::EntryData, Packet::Mem(_)) => true,
+            (FaultTarget::Checkpoint, Packet::Scp(_) | Packet::Ecp(_)) => true,
+            (FaultTarget::InstCount, Packet::InstCount(_)) => true,
+            (FaultTarget::BranchOutcome, Packet::Branch(_)) => true,
             _ => false,
         };
         if matches {
@@ -173,9 +170,9 @@ pub fn inject_targeted_fault<R: Rng>(
         return None;
     }
     let idx = candidates[rng.gen_range(0..candidates.len())];
-    let width = match (target, unit.fifo.packet_ref_at(idx).expect("in range")) {
+    let width = match (target, unit.fifo.packet_at(idx).expect("in range")) {
         (FaultTarget::EntryAddr, _) => 32,
-        (FaultTarget::EntryData, PacketRef::Mem(e)) => u32::from(e.size) * 8,
+        (FaultTarget::EntryData, Packet::Mem(e)) => u32::from(e.size) * 8,
         (FaultTarget::Checkpoint, _) => (66 * 64) as u32,
         (FaultTarget::InstCount, _) => 13, // log2(5000) ≈ 12.3: plausible counts
         (FaultTarget::BranchOutcome, _) => 32,
@@ -189,16 +186,16 @@ pub fn inject_targeted_fault<R: Rng>(
             flipped.push(b);
         }
     }
-    let mut packet = unit.fifo.packet_mut(idx).expect("candidate in range");
+    let packet = unit.fifo.packet_mut(idx).expect("candidate in range");
     for &b in &flipped {
-        match (target, &mut packet) {
-            (FaultTarget::EntryAddr, PacketMut::Mem(e)) => e.addr ^= 1 << b,
-            (FaultTarget::EntryData, PacketMut::Mem(e)) => e.data ^= 1 << b,
-            (FaultTarget::Checkpoint, PacketMut::Scp(cp) | PacketMut::Ecp(cp)) => {
+        match (target, &mut *packet) {
+            (FaultTarget::EntryAddr, Packet::Mem(e)) => e.addr ^= 1 << b,
+            (FaultTarget::EntryData, Packet::Mem(e)) => e.data ^= 1 << b,
+            (FaultTarget::Checkpoint, Packet::Scp(cp) | Packet::Ecp(cp)) => {
                 cp.snapshot.flip_bit(b as usize);
             }
-            (FaultTarget::InstCount, PacketMut::InstCount(v)) => **v ^= 1 << b,
-            (FaultTarget::BranchOutcome, PacketMut::Branch(pc)) => **pc ^= 1 << b,
+            (FaultTarget::InstCount, Packet::InstCount(v)) => *v ^= 1 << b,
+            (FaultTarget::BranchOutcome, Packet::Branch(pc)) => *pc ^= 1 << b,
             _ => unreachable!("candidate class checked above"),
         }
     }
@@ -253,7 +250,7 @@ impl LatencyStats {
 mod tests {
     use super::*;
     use crate::fabric::FabricConfig;
-    use crate::packet::{LogEntry, LogKind, Packet};
+    use crate::packet::LogEntry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -286,13 +283,13 @@ mod tests {
     fn injection_mutates_exactly_one_packet() {
         let mut f = fabric_with_entries(8);
         let before: Vec<Packet> = (0..8)
-            .map(|i| f.unit_mut(0).fifo.packet_at(i).unwrap())
+            .map(|i| f.unit_mut(0).fifo.packet_at(i).unwrap().clone())
             .collect();
         let mut rng = StdRng::seed_from_u64(7);
         let rec = inject_random_fault(&mut f, 0, 55, &mut rng).unwrap();
         assert_eq!(rec.at_cycle, 55);
         let after: Vec<Packet> = (0..8)
-            .map(|i| f.unit_mut(0).fifo.packet_at(i).unwrap())
+            .map(|i| f.unit_mut(0).fifo.packet_at(i).unwrap().clone())
             .collect();
         let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
         assert_eq!(changed, 1, "exactly one packet must change");
@@ -361,10 +358,10 @@ mod tests {
         // injections into a 1-entry FIFO must leave the packet corrupted
         // relative to pristine unless the two draws coincide exactly.
         let mut f = fabric_with_entries(1);
-        let pristine = f.unit_mut(0).fifo.packet_at(0).unwrap();
+        let pristine = f.unit_mut(0).fifo.packet_at(0).unwrap().clone();
         let mut rng = StdRng::seed_from_u64(5);
         let a = inject_targeted_fault(&mut f, 0, FaultTarget::EntryData, 2, 0, &mut rng).unwrap();
-        let now = f.unit_mut(0).fifo.packet_at(0).unwrap();
+        let now = f.unit_mut(0).fifo.packet_at(0).unwrap().clone();
         assert_ne!(pristine, now, "two distinct flips cannot cancel: {a:?}");
     }
 

@@ -345,11 +345,6 @@ impl VerifiedRun {
         &self.fs.soc
     }
 
-    /// Mutable simulator access (test/tooling escape hatch).
-    pub fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.fs.soc
-    }
-
     /// The FlexStep fabric state (FIFOs, stats, detections).
     pub fn fabric(&self) -> &Fabric {
         &self.fs.fabric

@@ -118,7 +118,7 @@ pub use flexstep_sim::{
 pub use harness::{
     baseline_cycles, MainReport, MatchedDetection, ModeStats, RunReport, RunWarning, VerifiedRun,
 };
-pub use packet::{log_entries, Checkpoint, LogEntry, LogKind, Packet, PacketMut, PacketRef};
+pub use packet::{log_entries, Checkpoint, LogEntry, LogKind, Packet};
 pub use rcpm::{Ass, SegmentClose, SegmentTracker, DEFAULT_SEGMENT_LIMIT};
 pub use scenario::{FaultPlan, RecoveryPolicy, Scenario, ScenarioError, Topology};
 pub use share::{ArbiterStats, CheckerArbiter};

@@ -140,12 +140,11 @@ pub fn log_entries(access: &MemAccess) -> (LogEntry, Option<LogEntry>) {
 
 /// A packet in a Data Buffer FIFO.
 ///
-/// Checkpoint payloads are boxed: an [`ArchSnapshot`] is >0.5 KiB, and
-/// `Packet` values cross the public API boundary (`pop`,
-/// `drain_segment`, burst pushes), so the enum itself stays a few words
-/// and moving a packet never copies a checkpoint-sized value. The
-/// in-FIFO storage is unaffected — the DBC keeps checkpoint payloads
-/// out of line in its own ring either way.
+/// The FIFO stores packets as they are: log entries, branch outcomes and
+/// counts inline, checkpoints in the `Box` each SCP/ECP carries. An
+/// [`ArchSnapshot`] is >0.5 KiB, so boxing it keeps the enum a few words
+/// — a small FIFO element, and moving a packet (`pop`, `drain_segment`,
+/// burst pushes) never copies a checkpoint-sized value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Packet {
     /// Start register checkpoint: opens a segment.
@@ -176,11 +175,13 @@ impl Packet {
 
     /// Occupancy of this packet in the FIFO, in bytes. Checkpoints carry
     /// the full snapshot plus the pc/seq header; entries carry
-    /// address + data words.
+    /// address + data words, except the supplementary µop entries, which
+    /// carry data only.
     pub fn bytes(&self) -> usize {
         match self {
             Packet::Scp(_) | Packet::Ecp(_) => ArchSnapshot::BYTES + 8,
-            Packet::Mem(e) => entry_bytes(e),
+            Packet::Mem(e) if matches!(e.kind, LogKind::ScResult | LogKind::AmoLoad) => 8,
+            Packet::Mem(_) => 16,
             Packet::Branch(_) | Packet::InstCount(_) => 8,
         }
     }
@@ -188,49 +189,6 @@ impl Packet {
     /// Whether this packet is a checkpoint (SCP or ECP).
     pub fn is_checkpoint(&self) -> bool {
         matches!(self, Packet::Scp(_) | Packet::Ecp(_))
-    }
-}
-
-/// FIFO occupancy of one memory-access log entry, in bytes.
-#[inline]
-pub(crate) fn entry_bytes(e: &LogEntry) -> usize {
-    match e.kind {
-        LogKind::ScResult | LogKind::AmoLoad => 8,
-        _ => 16,
-    }
-}
-
-/// A borrowed view of a buffered packet.
-///
-/// [`Packet`] is dominated by its checkpoint variants (an
-/// [`ArchSnapshot`] is >0.5 KiB), so the replay hot path never moves
-/// packets around — the FIFO hands out this view and consumers copy at
-/// most the small payload they need.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PacketRef<'a> {
-    /// Start register checkpoint.
-    Scp(&'a Checkpoint),
-    /// A memory-access log entry.
-    Mem(&'a LogEntry),
-    /// A forwarded branch outcome (`next_pc`).
-    Branch(u64),
-    /// The segment's user-mode instruction count.
-    InstCount(u64),
-    /// End register checkpoint.
-    Ecp(&'a Checkpoint),
-}
-
-impl PacketRef<'_> {
-    /// Materialises the packet (copies the checkpoint payload into a
-    /// fresh box — test and tooling convenience, not for the hot path).
-    pub fn to_packet(&self) -> Packet {
-        match *self {
-            PacketRef::Scp(cp) => Packet::scp(*cp),
-            PacketRef::Mem(e) => Packet::Mem(*e),
-            PacketRef::Branch(pc) => Packet::Branch(pc),
-            PacketRef::InstCount(v) => Packet::InstCount(v),
-            PacketRef::Ecp(cp) => Packet::ecp(*cp),
-        }
     }
 }
 
@@ -265,123 +223,6 @@ pub(crate) fn hash_snapshot(mut h: u64, s: &ArchSnapshot) -> u64 {
         h = hash_mix(h, w);
     }
     hash_mix(h, s.fcsr)
-}
-
-/// Generation-indexed handle to a checkpoint payload in a [`CpSlab`].
-///
-/// A handle is only valid while the slab slot's generation matches: once
-/// the payload is freed (segment consumed, skipped or reset) the slot's
-/// generation is bumped, so a stale handle can never silently read a
-/// recycled slot — [`CpSlab::get`] returns `None` and the freeing paths
-/// panic on a double free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CpHandle {
-    idx: u32,
-    gen: u32,
-}
-
-#[derive(Debug, Clone)]
-struct CpSlot {
-    gen: u32,
-    cp: Option<Checkpoint>,
-}
-
-/// Slab allocator for out-of-line checkpoint payloads (>0.5 KiB each).
-///
-/// The DBC keeps its in-order queue small by storing [`Checkpoint`]s here
-/// and threading [`CpHandle`]s through the stream slots. Freed slots go
-/// on a free list and are recycled in LIFO order; the generation check
-/// turns any use-after-free into a loud failure instead of silently
-/// serving another segment's checkpoint.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CpSlab {
-    slots: Vec<CpSlot>,
-    free: Vec<u32>,
-}
-
-impl CpSlab {
-    /// Stores `cp`, recycling a freed slot when one is available.
-    pub(crate) fn alloc(&mut self, cp: Checkpoint) -> CpHandle {
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            debug_assert!(slot.cp.is_none(), "free-listed slot must be empty");
-            slot.cp = Some(cp);
-            CpHandle { idx, gen: slot.gen }
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("slab index fits u32");
-            self.slots.push(CpSlot {
-                gen: 0,
-                cp: Some(cp),
-            });
-            CpHandle { idx, gen: 0 }
-        }
-    }
-
-    /// Resolves a handle; `None` if it was freed (stale generation).
-    pub(crate) fn get(&self, h: CpHandle) -> Option<&Checkpoint> {
-        let slot = self.slots.get(h.idx as usize)?;
-        if slot.gen != h.gen {
-            return None;
-        }
-        slot.cp.as_ref()
-    }
-
-    /// Mutable companion of [`CpSlab::get`].
-    pub(crate) fn get_mut(&mut self, h: CpHandle) -> Option<&mut Checkpoint> {
-        let slot = self.slots.get_mut(h.idx as usize)?;
-        if slot.gen != h.gen {
-            return None;
-        }
-        slot.cp.as_mut()
-    }
-
-    /// Frees the payload behind `h`, returning it and invalidating every
-    /// outstanding copy of the handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is stale — a double free is a datapath bug, never
-    /// a recoverable condition.
-    pub(crate) fn free(&mut self, h: CpHandle) -> Checkpoint {
-        let slot = &mut self.slots[h.idx as usize];
-        assert_eq!(slot.gen, h.gen, "checkpoint handle used after free");
-        let cp = slot.cp.take().expect("checkpoint handle used after free");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(h.idx);
-        cp
-    }
-
-    /// Frees every live payload (FIFO reset), invalidating all handles.
-    pub(crate) fn clear(&mut self) {
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if slot.cp.take().is_some() {
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(idx as u32);
-            }
-        }
-    }
-
-    /// Number of live payloads.
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
-/// A mutable view of a buffered packet (fault injection into in-flight
-/// data).
-#[derive(Debug)]
-pub enum PacketMut<'a> {
-    /// Start register checkpoint.
-    Scp(&'a mut Checkpoint),
-    /// A memory-access log entry.
-    Mem(&'a mut LogEntry),
-    /// A forwarded branch outcome (`next_pc`).
-    Branch(&'a mut u64),
-    /// The segment's user-mode instruction count.
-    InstCount(&'a mut u64),
-    /// End register checkpoint.
-    Ecp(&'a mut Checkpoint),
 }
 
 #[cfg(test)]
@@ -475,41 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_recycles_slots_under_fresh_generations() {
-        let mut slab = CpSlab::default();
-        let cp = |n: u64| Checkpoint {
-            snapshot: ArchState::new(n).snapshot(),
-            seq: n,
-            tag: 0,
-        };
-        let a = slab.alloc(cp(1));
-        let b = slab.alloc(cp(2));
-        assert_eq!(slab.get(a).unwrap().seq, 1);
-        assert_eq!(slab.free(a).seq, 1);
-        assert_eq!(slab.live(), 1);
-        // The freed slot is recycled, but under a new generation: the
-        // stale handle keeps resolving to None, not to the new payload.
-        let c = slab.alloc(cp(3));
-        assert_eq!(slab.live(), 2);
-        assert!(slab.get(a).is_none(), "stale handle must not resolve");
-        assert_eq!(slab.get(c).unwrap().seq, 3);
-        assert_eq!(slab.get(b).unwrap().seq, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "used after free")]
-    fn slab_double_free_panics() {
-        let mut slab = CpSlab::default();
-        let h = slab.alloc(Checkpoint {
-            snapshot: snap(),
-            seq: 0,
-            tag: 0,
-        });
-        slab.free(h);
-        slab.free(h);
-    }
-
-    #[test]
     fn snapshot_hash_ignores_seq_and_tag_but_sees_state() {
         let s1 = ArchState::new(1).snapshot();
         let mut s2 = s1;
@@ -523,7 +329,8 @@ mod tests {
     fn packet_enum_is_small_at_the_api_boundary() {
         // The checkpoint payload is boxed precisely so API-boundary
         // moves (pop, drain_segment, burst slices) never copy an
-        // ArchSnapshot-sized value.
+        // ArchSnapshot-sized value. The FIFO queues `Packet`s, so this
+        // also bounds its element size.
         assert!(
             std::mem::size_of::<Packet>() <= 32,
             "Packet must stay a few words: {} bytes",

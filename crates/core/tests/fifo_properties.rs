@@ -26,6 +26,10 @@ enum Op {
 enum BurstOp {
     /// Push a burst of packets in one `push_burst` call.
     PushBurst(Vec<PacketShape>),
+    /// Push one whole segment the engine's way — `push_scp`, one
+    /// `push_burst` of these log entries, `push_count_ecp` — against
+    /// the same packets pushed one by one.
+    PushSegment(Vec<PacketShape>),
     /// Pop one packet for consumer `c`.
     Pop(usize),
     /// Drain one complete segment for consumer `c`.
@@ -90,9 +94,19 @@ fn shape_strategy() -> impl Strategy<Value = PacketShape> {
     ]
 }
 
+fn entry_shape_strategy() -> impl Strategy<Value = PacketShape> {
+    prop_oneof![
+        Just(PacketShape::Load),
+        Just(PacketShape::Store),
+        Just(PacketShape::ScPair),
+    ]
+}
+
 fn burst_op_strategy() -> impl Strategy<Value = BurstOp> {
     prop_oneof![
         3 => proptest::collection::vec(shape_strategy(), 1..6).prop_map(BurstOp::PushBurst),
+        1 => proptest::collection::vec(entry_shape_strategy(), 0..5)
+            .prop_map(BurstOp::PushSegment),
         2 => (0usize..3).prop_map(BurstOp::Pop),
         1 => (0usize..3).prop_map(BurstOp::DrainSegment),
         1 => (0usize..3).prop_map(BurstOp::SkipSegment),
@@ -279,11 +293,12 @@ proptest! {
         }
     }
 
-    /// The burst APIs are byte-for-byte equivalent to per-packet
-    /// `push`/`pop`: the same consumer-visible packet sequence, the same
-    /// cursors (observed through `backlog`), and the same reclaim
-    /// accounting (`used_bytes`/`checkpoints_in_flight`), under random
-    /// interleavings with 1–2 consumers.
+    /// The burst APIs, and the engine's checkpoint pushes, are
+    /// byte-for-byte equivalent to per-packet `push`/`pop`: the same
+    /// consumer-visible packet sequence, the same cursors (observed
+    /// through `backlog`), the same reclaim accounting
+    /// (`used_bytes`/`checkpoints_in_flight`) and the same segment
+    /// fingerprints, under random interleavings with 1–2 consumers.
     #[test]
     fn burst_apis_match_per_packet_ops(
         ops in proptest::collection::vec(burst_op_strategy(), 1..80),
@@ -309,6 +324,27 @@ proptest! {
                     for p in &burst {
                         single.push(p.clone()).expect("spill enabled");
                     }
+                }
+                BurstOp::PushSegment(shapes) => {
+                    let cp = |n: u64| Checkpoint {
+                        snapshot: ArchState::new(n).snapshot(),
+                        seq: n,
+                        tag: 7,
+                    };
+                    let (scp, ecp) = (cp(n), cp(n + 1));
+                    let entries: Vec<Packet> =
+                        shapes.iter().zip(n + 2..).map(|(&s, k)| packet_of(s, k)).collect();
+                    let count = n + 2 + shapes.len() as u64;
+                    n = count + 1;
+                    batched.push_scp(scp).expect("spill enabled");
+                    batched.push_burst(&entries).expect("spill enabled");
+                    batched.push_count_ecp(count, ecp).expect("spill enabled");
+                    single.push(Packet::scp(scp)).expect("spill enabled");
+                    for p in entries {
+                        single.push(p).expect("spill enabled");
+                    }
+                    single.push(Packet::InstCount(count)).expect("spill enabled");
+                    single.push(Packet::ecp(ecp)).expect("spill enabled");
                 }
                 BurstOp::Pop(c) => {
                     let c = c % consumers;
@@ -368,6 +404,12 @@ proptest! {
                 prop_assert_eq!(
                     batched.complete_segments_ahead(c),
                     single.complete_segments_ahead(c)
+                );
+                prop_assert_eq!(
+                    batched.next_segment_hash(c),
+                    single.next_segment_hash(c),
+                    "fingerprint {} diverged",
+                    c
                 );
             }
         }

@@ -552,16 +552,6 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
     Ok(word)
 }
 
-/// Convenience: encodes, panicking on malformed operands.
-///
-/// # Panics
-///
-/// Panics if [`encode`] fails; intended for statically known-good
-/// instructions in tests and generators.
-pub fn encode_unchecked(inst: &Inst) -> u32 {
-    encode(inst).unwrap_or_else(|e| panic!("encode failed for {inst:?}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

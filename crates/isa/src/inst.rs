@@ -591,14 +591,6 @@ impl Inst {
         matches!(self, Inst::Lr { .. } | Inst::Sc { .. } | Inst::Amo { .. })
     }
 
-    /// Returns `true` for control-flow instructions (branches and jumps).
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
-        )
-    }
-
     /// Returns `true` for floating-point instructions.
     pub fn is_fp(&self) -> bool {
         matches!(

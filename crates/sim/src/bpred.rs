@@ -50,17 +50,6 @@ pub struct BpredStats {
     pub indirect_mispredicts: u64,
 }
 
-impl BpredStats {
-    /// Fraction of conditional branches mispredicted.
-    pub fn branch_mpki_ratio(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredicts as f64 / self.branches as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct BtbEntry {
     pc: u64,
