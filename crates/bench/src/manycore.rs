@@ -7,8 +7,7 @@
 //! checkers, every main running its own workload in a private address
 //! window, with a declarative fault plan spraying bit flips across the
 //! streams. Each row reports detection latency and the wall-clock
-//! scheduler throughput (the event-queue scheduler was built for
-//! exactly this scale).
+//! scheduler throughput.
 
 use crate::{FabricConfig, FaultPlan, Scenario, Topology};
 use flexstep_core::json::JsonObject;

@@ -38,8 +38,6 @@ pub enum CheckPhase {
         seq: u64,
         /// Stream tag (task id).
         tag: u64,
-        /// Final replayed count.
-        count: u64,
     },
 }
 
@@ -120,7 +118,7 @@ impl CheckerState {
 ///
 /// On divergence it records the typed [`MismatchKind`] and aborts the
 /// instruction with a [`PortStop`]; the engine converts that into a
-/// detection event.
+/// detection event. Its accesses cost no cycles beyond the pipelined hit.
 #[derive(Debug)]
 pub struct ReplayPort<'a> {
     fifo: &'a BufferFifo,
@@ -129,9 +127,6 @@ pub struct ReplayPort<'a> {
     read: usize,
     /// Set when the port aborted the access.
     pub mismatch: Option<MismatchKind>,
-    /// Fixed per-access latency (FIFO SRAM read), in stall cycles beyond
-    /// the pipelined hit.
-    pub latency: u64,
 }
 
 impl<'a> ReplayPort<'a> {
@@ -142,7 +137,6 @@ impl<'a> ReplayPort<'a> {
             consumer,
             read: 0,
             mismatch: None,
-            latency: 0,
         }
     }
 
@@ -169,37 +163,32 @@ impl<'a> ReplayPort<'a> {
                 self.read += 1;
                 Ok(*e)
             }
-            Some(Packet::Mem(e)) => {
-                let kind = MismatchKind::LogKind {
-                    expected: e.kind.to_string(),
-                    actual: actual.to_string(),
-                };
-                self.mismatch = Some(kind.clone());
-                Err(PortStop::new(kind.to_string()))
-            }
-            _ => {
-                self.mismatch = Some(MismatchKind::LogUnderrun);
-                Err(PortStop::new("log underrun"))
-            }
+            Some(Packet::Mem(e)) => Err(self.stop(MismatchKind::LogKind {
+                expected: e.kind.to_string(),
+                actual: actual.to_string(),
+            })),
+            _ => Err(self.stop(MismatchKind::LogUnderrun)),
         }
+    }
+
+    /// Records `kind` and aborts the access.
+    fn stop(&mut self, kind: MismatchKind) -> PortStop {
+        self.mismatch = Some(kind);
+        PortStop
     }
 
     fn check_addr_size(&mut self, entry: &LogEntry, addr: u64, size: u8) -> Result<(), PortStop> {
         if entry.addr != addr {
-            let kind = MismatchKind::LogAddr {
+            return Err(self.stop(MismatchKind::LogAddr {
                 expected: entry.addr,
                 actual: addr,
-            };
-            self.mismatch = Some(kind.clone());
-            return Err(PortStop::new(kind.to_string()));
+            }));
         }
         if entry.size != size {
-            let kind = MismatchKind::LogKind {
+            return Err(self.stop(MismatchKind::LogKind {
                 expected: format!("size {}", entry.size),
                 actual: format!("size {size}"),
-            };
-            self.mismatch = Some(kind.clone());
-            return Err(PortStop::new(kind.to_string()));
+            }));
         }
         Ok(())
     }
@@ -209,21 +198,19 @@ impl DataPort for ReplayPort<'_> {
     fn read(&mut self, addr: u64, size: u8) -> Result<(u64, u64), PortStop> {
         let e = self.take_entry(&[LogKind::Load, LogKind::Lr], "load")?;
         self.check_addr_size(&e, addr, size)?;
-        Ok((e.data, self.latency))
+        Ok((e.data, 0))
     }
 
     fn write(&mut self, addr: u64, value: u64, size: u8) -> Result<u64, PortStop> {
         let e = self.take_entry(&[LogKind::Store], "store")?;
         self.check_addr_size(&e, addr, size)?;
         if e.data != value {
-            let kind = MismatchKind::LogData {
+            return Err(self.stop(MismatchKind::LogData {
                 expected: e.data,
                 actual: value,
-            };
-            self.mismatch = Some(kind.clone());
-            return Err(PortStop::new(kind.to_string()));
+            }));
         }
-        Ok(self.latency)
+        Ok(0)
     }
 
     fn store_conditional(
@@ -236,15 +223,13 @@ impl DataPort for ReplayPort<'_> {
         let e = self.take_entry(&[LogKind::ScAddrData], "sc")?;
         self.check_addr_size(&e, addr, size)?;
         if e.data != value {
-            let kind = MismatchKind::LogData {
+            return Err(self.stop(MismatchKind::LogData {
                 expected: e.data,
                 actual: value,
-            };
-            self.mismatch = Some(kind.clone());
-            return Err(PortStop::new(kind.to_string()));
+            }));
         }
         let r = self.take_entry(&[LogKind::ScResult], "sc.result")?;
-        Ok((r.data != 0, self.latency))
+        Ok((r.data != 0, 0))
     }
 
     fn amo(
@@ -266,14 +251,12 @@ impl DataPort for ReplayPort<'_> {
         };
         let stored = amo_apply(op, width, old, src) & mask;
         if stored != first.data {
-            let kind = MismatchKind::LogData {
+            return Err(self.stop(MismatchKind::LogData {
                 expected: first.data,
                 actual: stored,
-            };
-            self.mismatch = Some(kind.clone());
-            return Err(PortStop::new(kind.to_string()));
+            }));
         }
-        Ok((old, self.latency))
+        Ok((old, 0))
     }
 
     fn branch_outcome(&mut self, actual_next_pc: u64) -> Result<bool, PortStop> {
@@ -286,12 +269,10 @@ impl DataPort for ReplayPort<'_> {
                 if expected == actual_next_pc {
                     Ok(true)
                 } else {
-                    let kind = MismatchKind::BranchOutcome {
+                    Err(self.stop(MismatchKind::BranchOutcome {
                         expected,
                         actual: actual_next_pc,
-                    };
-                    self.mismatch = Some(kind.clone());
-                    Err(PortStop::new(kind.to_string()))
+                    }))
                 }
             }
             _ => Ok(false),

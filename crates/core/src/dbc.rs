@@ -264,11 +264,6 @@ impl BufferFifo {
         self.queue.push_back(packet);
     }
 
-    /// Whether all consumers have drained everything.
-    pub fn is_fully_drained(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Pushes a packet.
     ///
     /// # Errors
@@ -817,7 +812,7 @@ mod tests {
         assert_eq!(f.used_bytes(), 16, "advanced packet was reclaimed");
         assert!(f.advance(0));
         assert!(!f.advance(0), "nothing left");
-        assert!(f.is_fully_drained());
+        assert!(f.is_empty());
     }
 
     #[test]

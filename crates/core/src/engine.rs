@@ -575,8 +575,7 @@ impl FlexSoc {
                     }
                     ReplayHead::Count(v) if count == v => {
                         self.fabric.unit_mut(main).fifo.advance(consumer);
-                        self.fabric.unit_mut(core).checker.phase =
-                            CheckPhase::WaitEcp { seq, tag, count };
+                        self.fabric.unit_mut(core).checker.phase = CheckPhase::WaitEcp { seq, tag };
                         EngineStep::CheckerProgress
                     }
                     ReplayHead::Count(v) if count > v => self.abort_segment(
@@ -618,7 +617,7 @@ impl FlexSoc {
                     }
                 }
             }
-            CheckPhase::WaitEcp { seq, tag, count } => {
+            CheckPhase::WaitEcp { seq, tag } => {
                 // Compare the buffered ECP snapshot against the replayed
                 // state in place; only the diff list leaves the borrow.
                 enum EcpHead {
@@ -644,7 +643,6 @@ impl FlexSoc {
                         self.fabric.unit_mut(main).fifo.advance(consumer);
                         self.soc.stall_core(core, ecp_compare_cycles);
                         let at = self.soc.now();
-                        let _ = count;
                         if diffs.is_empty() {
                             let result = SegmentResult {
                                 seq,
@@ -769,11 +767,7 @@ impl FlexSoc {
             Some(Packet::Ecp(cp)) => self.soc.core_mut(core).state.restore(&cp.snapshot),
             other => panic!("verdict-memo playback desynced: expected ECP, found {other:?}"),
         }
-        self.fabric.unit_mut(core).checker.phase = CheckPhase::WaitEcp {
-            seq,
-            tag,
-            count: inst_count,
-        };
+        self.fabric.unit_mut(core).checker.phase = CheckPhase::WaitEcp { seq, tag };
         Some(EngineStep::CheckerProgress)
     }
 

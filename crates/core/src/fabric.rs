@@ -375,7 +375,7 @@ impl Fabric {
                 if unit.checking_enabled {
                     return Err(FlexError::CheckingEnabled { main: core });
                 }
-                if !unit.fifo.is_fully_drained() {
+                if !unit.fifo.is_empty() {
                     return Err(FlexError::StreamNotDrained { main: core });
                 }
             }
@@ -447,7 +447,7 @@ impl Fabric {
                 }
             }
         }
-        if !self.units[main].fifo.is_fully_drained() {
+        if !self.units[main].fifo.is_empty() {
             return Err(FlexError::StreamNotDrained { main });
         }
         // Replace the previous association.
@@ -482,7 +482,7 @@ impl Fabric {
         if self.units[main].attr != CoreAttr::Main {
             return Err(FlexError::NotMain { core: main });
         }
-        if !self.units[main].fifo.is_fully_drained() {
+        if !self.units[main].fifo.is_empty() {
             return Err(FlexError::StreamNotDrained { main });
         }
         if let Some(old) = self.assoc[main].take() {
@@ -544,7 +544,7 @@ impl Fabric {
     pub fn revoke(&mut self, checker: usize) -> Result<usize, FlexError> {
         self.check_core(checker)?;
         let (main, _) = self.reverse[checker].ok_or(FlexError::NoChannel { checker })?;
-        if !self.units[main].fifo.is_fully_drained() {
+        if !self.units[main].fifo.is_empty() {
             return Err(FlexError::StreamNotDrained { main });
         }
         if self.units[checker].checker.phase != crate::checker::CheckPhase::WaitScp {

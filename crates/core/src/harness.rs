@@ -441,7 +441,7 @@ impl VerifiedRun {
     pub fn drained(&self) -> bool {
         self.mains
             .iter()
-            .all(|&m| self.fs.fabric.unit(m).fifo.is_fully_drained())
+            .all(|&m| self.fs.fabric.unit(m).fifo.is_empty())
             && self
                 .checkers
                 .iter()

@@ -77,7 +77,7 @@
 //!         }
 //!     }
 //!     fs.step(1);
-//!     if done && fs.fabric.unit(0).fifo.is_fully_drained() {
+//!     if done && fs.fabric.unit(0).fifo.is_empty() {
 //!         break;
 //!     }
 //! }

@@ -432,7 +432,7 @@ impl FaultDriver {
                 continue;
             }
             let main = mains[shot.channel];
-            if expired(shot.channel) && fabric.unit(main).fifo.is_fully_drained() {
+            if expired(shot.channel) && fabric.unit(main).fifo.is_empty() {
                 // The main finished and its stream drained before the
                 // shot could land: nothing left to corrupt, ever.
                 self.next += 1;

@@ -170,7 +170,7 @@ impl CheckerArbiter {
     /// Returns the newly granted main on a switch.
     pub fn poll(&mut self, fabric: &mut Fabric) -> Option<usize> {
         if let Some(g) = self.granted {
-            if !self.released.contains(&g) || !fabric.unit(g).fifo.is_fully_drained() {
+            if !self.released.contains(&g) || !fabric.unit(g).fifo.is_empty() {
                 return None;
             }
             if fabric.unit(self.checker).checker.phase != CheckPhase::WaitScp {

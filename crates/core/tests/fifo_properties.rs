@@ -188,7 +188,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(fifo.is_fully_drained());
+        prop_assert!(fifo.is_empty());
         prop_assert_eq!(fifo.used_bytes(), 0);
         prop_assert_eq!(fifo.checkpoints_in_flight(), 0);
     }
@@ -398,7 +398,7 @@ proptest! {
             prop_assert_eq!(batched.len(), single.len());
             prop_assert_eq!(batched.total_pushed(), single.total_pushed());
             prop_assert_eq!(batched.spilled_packets(), single.spilled_packets());
-            prop_assert_eq!(batched.is_fully_drained(), single.is_fully_drained());
+            prop_assert_eq!(batched.is_empty(), single.is_empty());
             for c in 0..consumers {
                 prop_assert_eq!(batched.backlog(c), single.backlog(c), "cursor {} diverged", c);
                 prop_assert_eq!(
@@ -438,7 +438,7 @@ proptest! {
             }
         }
         fifo.reset();
-        prop_assert!(fifo.is_fully_drained());
+        prop_assert!(fifo.is_empty());
         prop_assert_eq!(fifo.used_bytes(), 0);
         prop_assert_eq!(fifo.checkpoints_in_flight(), 0);
         prop_assert_eq!(fifo.complete_segments_ahead(0), 0);

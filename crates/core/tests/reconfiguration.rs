@@ -56,7 +56,7 @@ fn run_verified(fs: &mut FlexSoc, main: usize, checker: usize, program: &Program
             }
         }
         fs.step(checker);
-        if done && fs.fabric.unit(main).fifo.is_fully_drained() {
+        if done && fs.fabric.unit(main).fifo.is_empty() {
             break;
         }
     }
@@ -140,7 +140,7 @@ fn reconfiguration_rejected_while_checking_live() {
     // Disabling checking exposes the next precondition: the undrained
     // stream (data is still buffered for the checker).
     run.platform_mut().op_m_check(0, false).unwrap();
-    if !run.fabric().unit(0).fifo.is_fully_drained() {
+    if !run.fabric().unit(0).fifo.is_empty() {
         let err = run.platform_mut().op_g_configure(&[1], &[0]).unwrap_err();
         assert!(
             matches!(
@@ -231,7 +231,7 @@ fn compute_cores_run_unchecked_alongside_verification() {
                 fs.soc.core_mut(core).park();
             }
         }
-        if finished.iter().all(|&f| f) && fs.fabric.unit(0).fifo.is_fully_drained() {
+        if finished.iter().all(|&f| f) && fs.fabric.unit(0).fifo.is_empty() {
             break;
         }
     }

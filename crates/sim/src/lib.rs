@@ -42,7 +42,6 @@ pub mod exec;
 pub mod hart;
 pub mod model;
 pub mod port;
-pub(crate) mod ready;
 pub mod soc;
 pub mod timing;
 
@@ -55,5 +54,5 @@ pub use flexstep_soc::{
 pub use hart::{ArchSnapshot, ArchState, CsrCounters, PrivMode, TrapCause};
 pub use model::{CoreModel, CoreTimingModel, InOrderModel, OooModel, RetireInfo};
 pub use port::{amo_apply, DataPort, PortStop, ReplayControl, SocDataPort};
-pub use soc::{Retired, SchedMode, Soc, SocConfig, StepKind, StepResult, BLOCK_INSTS};
+pub use soc::{Retired, Soc, SocConfig, StepKind, StepResult, BLOCK_INSTS};
 pub use timing::{Clock, ExecCosts};

@@ -73,6 +73,30 @@ pub trait CoreTimingModel {
     fn reset_replay_uarch(&mut self);
 }
 
+/// Charges `bpred` with `r`'s control-flow outcome, as both models do:
+/// resolve it, then push the return address of a linking jump. Returns
+/// the misprediction penalty; 0 when the outcome arrived hinted or `r`
+/// has no branch.
+#[inline]
+fn resolve_branch(bpred: &mut BranchPredictor, r: &RetireInfo<'_>) -> u64 {
+    let Some(outcome) = r.branch.filter(|_| !r.branch_hinted) else {
+        return 0;
+    };
+    let (penalty, link) = match outcome {
+        BranchOutcome::Cond { taken, target } => (bpred.resolve_branch(r.pc, taken, target), false),
+        BranchOutcome::Jal { target, link } => (bpred.resolve_jal(r.pc, target), link),
+        BranchOutcome::Jalr {
+            target,
+            link,
+            is_return,
+        } => (bpred.resolve_jalr(r.pc, target, is_return), link),
+    };
+    if link {
+        bpred.push_return(r.pc.wrapping_add(4));
+    }
+    penalty
+}
+
 /// The Rocket-like single-issue in-order pipeline (Tab. II).
 #[derive(Debug)]
 pub struct InOrderModel {
@@ -116,33 +140,7 @@ impl CoreTimingModel for InOrderModel {
         };
 
         // Branch-predictor timing.
-        if let Some(b) = r.branch {
-            if !r.branch_hinted {
-                let seq_pc = r.pc.wrapping_add(4);
-                match b {
-                    BranchOutcome::Cond { taken, target } => {
-                        cycles += self.bpred.resolve_branch(r.pc, taken, target);
-                    }
-                    BranchOutcome::Jal { target, link } => {
-                        cycles += self.bpred.resolve_jal(r.pc, target);
-                        if link {
-                            self.bpred.push_return(seq_pc);
-                        }
-                    }
-                    BranchOutcome::Jalr {
-                        target,
-                        link,
-                        is_return,
-                    } => {
-                        cycles += self.bpred.resolve_jalr(r.pc, target, is_return);
-                        if link {
-                            self.bpred.push_return(seq_pc);
-                        }
-                    }
-                }
-            }
-        }
-        cycles
+        cycles + resolve_branch(&mut self.bpred, r)
     }
 
     fn reset_replay_uarch(&mut self) {
@@ -254,37 +252,10 @@ impl CoreTimingModel for OooModel {
 
         // Branches resolve at completion; a mispredict squashes the
         // window's younger work and redirects the front end.
-        if let Some(b) = r.branch {
-            if !r.branch_hinted {
-                let seq_pc = r.pc.wrapping_add(4);
-                let penalty = match b {
-                    BranchOutcome::Cond { taken, target } => {
-                        self.bpred.resolve_branch(r.pc, taken, target)
-                    }
-                    BranchOutcome::Jal { target, link } => {
-                        let p = self.bpred.resolve_jal(r.pc, target);
-                        if link {
-                            self.bpred.push_return(seq_pc);
-                        }
-                        p
-                    }
-                    BranchOutcome::Jalr {
-                        target,
-                        link,
-                        is_return,
-                    } => {
-                        let p = self.bpred.resolve_jalr(r.pc, target, is_return);
-                        if link {
-                            self.bpred.push_return(seq_pc);
-                        }
-                        p
-                    }
-                };
-                if penalty > 0 {
-                    self.slot_time = complete + penalty;
-                    self.slot_used = 0;
-                }
-            }
+        let penalty = resolve_branch(&mut self.bpred, r);
+        if penalty > 0 {
+            self.slot_time = complete + penalty;
+            self.slot_used = 0;
         }
 
         // In-order retirement, `width` per cycle.

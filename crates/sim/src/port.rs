@@ -9,37 +9,15 @@
 
 use flexstep_isa::inst::{AmoOp, AmoWidth};
 use flexstep_mem::{AccessKind, MemorySystem};
-use std::fmt;
 
 /// Raised by a port to abort the current instruction.
 ///
 /// The normal port raises it only for a main block, whose later
 /// instructions must stay in their core's L1; replay ports raise it when
 /// the replayed access diverges from the log (a detection event) or when
-/// the log underruns. The typed detail lives in the port; this carries a
-/// human-readable reason for traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortStop {
-    /// Human-readable reason.
-    pub reason: String,
-}
-
-impl PortStop {
-    /// Creates a stop with the given reason.
-    pub fn new(reason: impl Into<String>) -> Self {
-        PortStop {
-            reason: reason.into(),
-        }
-    }
-}
-
-impl fmt::Display for PortStop {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "port stop: {}", self.reason)
-    }
-}
-
-impl std::error::Error for PortStop {}
+/// the log underruns. The typed detail lives in the port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortStop;
 
 /// Where the executor sends data-memory accesses.
 ///
@@ -191,7 +169,7 @@ impl<'a> SocDataPort<'a> {
 
     fn admit(&self, addr: u64, kind: AccessKind) -> Result<(), PortStop> {
         if self.l1_only && !self.mem.stays_in_l1(self.core, addr, kind) {
-            return Err(PortStop::new(String::new()));
+            return Err(PortStop);
         }
         Ok(())
     }

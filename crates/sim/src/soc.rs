@@ -16,8 +16,6 @@ use crate::exec::{execute, BranchOutcome, MemAccess, MemAccessKind, Stop};
 use crate::hart::{CsrCounters, PrivMode, TrapCause};
 use crate::model::{CoreModel, RetireInfo};
 use crate::port::{DataPort, PortStop, ReplayControl, SocDataPort};
-use crate::ready::ReadyQueue;
-pub use crate::ready::SchedMode;
 use crate::timing::{Clock, ExecCosts};
 use flexstep_isa::asm::Program;
 use flexstep_isa::decode::decode;
@@ -168,8 +166,6 @@ pub struct Soc {
     /// Predictor configuration, kept for [`Soc::set_core_model`].
     bpred_cfg: BpredConfig,
     now: u64,
-    ready: ReadyQueue,
-    sched_mode: SchedMode,
     /// Mask selecting the I-cache line address of a pc (L0 fetch path).
     fetch_line_mask: u64,
     /// Bumped whenever executable text may have changed: on
@@ -206,26 +202,16 @@ impl Soc {
             .map(|i| Core::new(i, config.bpred))
             .collect();
         Ok(Soc {
-            ready: ReadyQueue::new(cores.len()),
             cores,
             mem,
             clock: config.clock,
             costs: config.costs,
             bpred_cfg: config.bpred,
             now: 0,
-            sched_mode: SchedMode::default_for(config.num_cores),
             fetch_line_mask: !(config.mem.l1i.line_bytes as u64 - 1),
             code_epoch: 0,
             images: Vec::new(),
         })
-    }
-
-    /// Selects the ready-core scheduling algorithm (see [`SchedMode`]),
-    /// overriding [`SchedMode::default_for`]. Both modes pick identical
-    /// cores; the determinism tests use this to run the same SoC on
-    /// each engine.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
     }
 
     /// Number of cores.
@@ -258,9 +244,6 @@ impl Soc {
     ///
     /// Panics if `id` is out of range.
     pub fn core_mut(&mut self, id: usize) -> &mut Core {
-        // The caller may change `ready_at` or the run state through this
-        // borrow; conservatively refresh the core's ready-queue entry.
-        self.ready.mark_dirty(id);
         &mut self.cores[id]
     }
 
@@ -279,7 +262,6 @@ impl Soc {
     /// Panics if `id` is out of range.
     pub fn set_core_model(&mut self, id: usize, kind: CoreModelKind) {
         self.cores[id].model = CoreModel::from_kind(kind, self.bpred_cfg);
-        self.ready.mark_dirty(id);
     }
 
     /// Loads a program image into physical memory (no cache effects; call
@@ -375,7 +357,6 @@ impl Soc {
     ///
     /// Panics if `id` is out of range.
     pub fn charge_replay_retires(&mut self, id: usize, count: u64, total_cycles: u64) {
-        self.ready.mark_dirty(id);
         self.now = self.now.max(self.cores[id].ready_at);
         let core = &mut self.cores[id];
         core.instret += count;
@@ -385,25 +366,23 @@ impl Soc {
     }
 
     /// The earliest-ready running core (ties to the lowest id), or `None`
-    /// if no core is running — the O(num_cores) reference scan. Driver
-    /// loops should prefer [`Soc::next_ready`].
-    pub fn next_ready_core(&self) -> Option<usize> {
+    /// if no core is running: one scan over the cores per dispatch.
+    #[inline]
+    pub fn next_ready(&self) -> Option<usize> {
+        // `min_by_key` keeps the first of equal keys and the cores are
+        // stored in id order, so ties go to the lowest id. A
+        // `(ready_at, id)` key picks the same core at half the speed.
         self.cores
             .iter()
             .filter(|c| c.is_running())
-            .min_by_key(|c| (c.ready_at, c.id))
+            .min_by_key(|c| c.ready_at)
             .map(|c| c.id)
     }
 
-    /// The earliest-ready running core under the configured
-    /// [`SchedMode`]. The event queue answers in O(log n) amortised and
-    /// picks exactly the core the linear scan would.
-    #[inline]
-    pub fn next_ready(&mut self) -> Option<usize> {
-        match self.sched_mode {
-            SchedMode::EventQueue => self.ready.peek_min(&self.cores),
-            SchedMode::LinearScan => self.next_ready_core(),
-        }
+    /// Alias of [`Soc::next_ready`] under its older name, which
+    /// `perfbench`'s tracer still calls.
+    pub fn next_ready_core(&self) -> Option<usize> {
+        self.next_ready()
     }
 
     /// Advances idle time to `cycle` (monotonic; never moves backwards).
@@ -435,7 +414,6 @@ impl Soc {
     pub fn stall_core(&mut self, id: usize, cycles: u64) {
         let base = self.now.max(self.cores[id].ready_at);
         self.cores[id].ready_at = base + cycles;
-        self.ready.mark_dirty(id);
     }
 
     /// Steps `core` one instruction through the normal memory port.
@@ -468,9 +446,6 @@ impl Soc {
                 now: self.now,
             };
         }
-        // Advance the global clock to this core's ready time. The step
-        // may move `ready_at` or park the core; refresh its queue entry.
-        self.ready.mark_dirty(id);
         self.now = self.now.max(self.cores[id].ready_at);
         let now = self.now;
 
@@ -679,7 +654,6 @@ impl Soc {
         if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
             return 0;
         }
-        self.ready.mark_dirty(id);
         self.now = self.now.max(self.cores[id].ready_at);
         let mut at = self.now;
         let mut retired = 0;
@@ -783,7 +757,6 @@ impl Soc {
         core.instret += 1;
         core.busy_cycles += 1;
         core.ready_at = self.now.max(core.ready_at) + 1;
-        self.ready.mark_dirty(id);
     }
 
     /// Runs consecutive instructions of core `id` through the normal
@@ -828,7 +801,6 @@ impl Soc {
         if !core.is_running() || core.timer_cmp.is_some() || core.timer_pending {
             return 0;
         }
-        self.ready.mark_dirty(id);
         self.now = self.now.max(core.ready_at);
         let prv = self.cores[id].state.prv;
         let epoch0 = self.code_epoch;
@@ -1050,39 +1022,40 @@ mod tests {
 
     #[test]
     fn next_ready_core_orders_by_time() {
-        let mut soc = Soc::new(SocConfig::paper(2)).unwrap();
-        soc.core_mut(0).unpark();
-        soc.core_mut(1).unpark();
-        soc.core_mut(0).ready_at = 100;
-        soc.core_mut(1).ready_at = 50;
-        assert_eq!(soc.next_ready_core(), Some(1));
-        soc.core_mut(1).park();
-        assert_eq!(soc.next_ready_core(), Some(0));
-        soc.core_mut(0).park();
-        assert_eq!(soc.next_ready_core(), None);
-    }
-
-    #[test]
-    fn event_queue_matches_linear_scan() {
-        let mut soc = Soc::new(SocConfig::paper(3)).unwrap();
-        // Three cores default to the scan; force the queue.
-        soc.set_sched_mode(SchedMode::EventQueue);
-        assert_eq!(soc.next_ready(), None);
-        soc.core_mut(0).unpark();
-        soc.core_mut(1).unpark();
-        soc.core_mut(2).unpark();
-        soc.core_mut(0).ready_at = 30;
-        soc.core_mut(1).ready_at = 10;
-        soc.core_mut(2).ready_at = 10;
-        for _ in 0..4 {
-            assert_eq!(soc.next_ready(), soc.next_ready_core());
-            let id = soc.next_ready().unwrap();
-            soc.stall_core(id, 25);
+        // The earliest `ready_at` among running cores, ties to the lowest
+        // id, at the sizes the paired, shared and many-core runs use.
+        for n in [2, 16, 64] {
+            let mut soc = Soc::new(SocConfig::paper(n)).unwrap();
+            assert_eq!(soc.next_ready(), None, "{n} cores, none running");
+            for id in 0..n {
+                let core = soc.core_mut(id);
+                core.unpark();
+                core.ready_at = 100;
+            }
+            // Equal stalls from equal times dispatch in id order.
+            for expected in (0..n).chain(0..n) {
+                let id = soc.next_ready().unwrap();
+                assert_eq!(id, expected, "{n} cores");
+                soc.stall_core(id, 10);
+            }
+            let last = n - 1;
+            soc.core_mut(last).ready_at = 50;
+            assert_eq!(soc.next_ready(), Some(last), "{n} cores");
+            soc.core_mut(last).park();
+            assert_eq!(soc.next_ready(), Some(0), "{n} cores");
+            soc.core_mut(last).unpark();
+            soc.core_mut(0).ready_at = 50;
+            assert_eq!(soc.next_ready(), Some(0), "{n} cores");
+            soc.core_mut(0).halt();
+            soc.core_mut(0).unpark();
+            assert_eq!(soc.next_ready(), Some(last), "{n} cores");
+            for id in 0..n {
+                soc.core_mut(id).park();
+            }
+            assert_eq!(soc.next_ready(), None, "{n} cores");
+            soc.core_mut(1).unpark();
+            assert_eq!(soc.next_ready_core(), Some(1), "{n} cores");
         }
-        soc.core_mut(1).park();
-        assert_eq!(soc.next_ready(), soc.next_ready_core());
-        soc.set_sched_mode(SchedMode::LinearScan);
-        assert_eq!(soc.next_ready(), soc.next_ready_core());
     }
 
     #[test]
@@ -1458,7 +1431,7 @@ mod tests {
         }
         fn branch_outcome(&mut self, _: u64) -> Result<bool, PortStop> {
             if self.diverge {
-                Err(PortStop::new("diverged"))
+                Err(PortStop)
             } else {
                 Ok(false)
             }

@@ -132,7 +132,7 @@ fn cores_execute_independently() {
     }
     let mut done = [false; 2];
     for _ in 0..40_000_000u64 {
-        let Some(core) = soc.next_ready_core() else {
+        let Some(core) = soc.next_ready() else {
             break;
         };
         if let StepKind::Trap {
