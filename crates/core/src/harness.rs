@@ -1517,6 +1517,39 @@ mod tests {
     }
 
     #[test]
+    fn mains_sharing_a_data_line_get_a_warning() {
+        // Two mains built at the same windows store to one data word, so
+        // snoops act: the run left main blocks' premise, and says so.
+        let p = store_loop(300);
+        let mut run = Scenario::new(&p).program(&p).build().unwrap();
+        let r = run.run_to_completion(10_000_000);
+        assert!(r.completed);
+        let shared: Vec<_> = r
+            .warnings
+            .iter()
+            .filter_map(|w| match *w {
+                RunWarning::SharedDataLine {
+                    requester,
+                    snooped,
+                    line,
+                } => Some((requester.min(snooped), requester.max(snooped), line)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shared, [(0, 2, 0x2000_0000)], "{:?}", r.warnings);
+        assert!(r.to_json().contains("\"fix\": \"Assembler::with_bases\""));
+
+        // The fix: a private window per main.
+        let mut run = Scenario::new(&store_loop_in_window(300, 0))
+            .program(&store_loop_in_window(300, 1))
+            .build()
+            .unwrap();
+        let r = run.run_to_completion(10_000_000);
+        assert!(r.completed);
+        assert!(r.warnings.is_empty(), "{:?}", r.warnings);
+    }
+
+    #[test]
     fn check_fail_fires_before_the_matching_detection() {
         // `RunEvent::CheckFail` promises that the matching detection
         // follows immediately. Pin the emission order — every Detection

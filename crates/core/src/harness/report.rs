@@ -69,6 +69,18 @@ pub enum RunWarning {
         /// Cycle of the expiry.
         at_cycle: u64,
     },
+    /// Two cores touched one data line, so a coherence snoop acted. Main
+    /// blocks are exact only when none does (DESIGN.md §18): this run's
+    /// timing may depend on where blocks ended. The fix is a private
+    /// text/data window per main, as `Assembler::with_bases` builds.
+    SharedDataLine {
+        /// The core whose access made the first snoop.
+        requester: usize,
+        /// The core whose copy that snoop invalidated or downgraded.
+        snooped: usize,
+        /// Base address of the line.
+        line: u64,
+    },
 }
 
 /// Per-main-slot reliability-policy accounting.
@@ -274,6 +286,17 @@ impl RunReport {
                         .field_u64("main", *main as u64)
                         .field_u64("at_cycle", *at_cycle);
                 }
+                RunWarning::SharedDataLine {
+                    requester,
+                    snooped,
+                    line,
+                } => {
+                    o.field_str("kind", "shared_data_line")
+                        .field_u64("requester", *requester as u64)
+                        .field_u64("snooped", *snooped as u64)
+                        .field_u64("line", *line)
+                        .field_str("fix", "Assembler::with_bases");
+                }
             }
             o.finish()
         }));
@@ -400,6 +423,13 @@ impl VerifiedRun {
             warnings: self.warnings.clone(),
             mode_stats: Vec::new(),
         };
+        if let Some(first) = self.fs.soc.mem.first_snoop() {
+            report.warnings.push(RunWarning::SharedDataLine {
+                requester: first.requester,
+                snooped: first.snooped,
+                line: first.line,
+            });
+        }
         report.mode_stats = self.mode_stats(&report);
         report
     }

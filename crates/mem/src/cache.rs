@@ -191,6 +191,13 @@ pub struct Cache {
     /// Count of non-Invalid lines; lets coherence probes of untouched
     /// caches (e.g. a checker core's never-used L1D) exit in O(1).
     resident: usize,
+    /// log2 of the line size: an address's line number is `addr >>
+    /// line_shift`.
+    line_shift: u32,
+    /// `sets - 1`: the set index is the line number's low bits.
+    set_mask: u64,
+    /// `line_shift + log2(sets)`: the tag is `addr >> tag_shift`.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -201,13 +208,17 @@ impl Cache {
     /// Returns [`CacheGeometryError`] for invalid geometry.
     pub fn new(config: CacheConfig) -> Result<Self, CacheGeometryError> {
         config.validate()?;
-        let n = config.sets() * config.ways;
+        let sets = config.sets();
+        let line_shift = config.line_bytes.trailing_zeros();
         Ok(Cache {
             config,
-            lines: vec![INVALID_LINE; n],
+            lines: vec![INVALID_LINE; sets * config.ways],
             stats: CacheStats::default(),
             tick: 0,
             resident: 0,
+            line_shift,
+            set_mask: sets as u64 - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
         })
     }
 
@@ -226,17 +237,18 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    // Geometry is validated to powers of two, so addresses split by
+    // shifts and a mask.
     fn set_index(&self, addr: u64) -> usize {
-        let line = addr / self.config.line_bytes as u64;
-        (line as usize) & (self.config.sets() - 1)
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        (addr / self.config.line_bytes as u64) / self.config.sets() as u64
+        addr >> self.tag_shift
     }
 
     fn line_base(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.config.sets() as u64 + set as u64) * self.config.line_bytes as u64
+        tag << self.tag_shift | (set as u64) << self.line_shift
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -244,33 +256,46 @@ impl Cache {
         start..start + self.config.ways
     }
 
+    /// The index in `lines` of the resident line holding `addr`, if any.
+    fn way(&self, addr: u64) -> Option<usize> {
+        if self.resident == 0 {
+            return None;
+        }
+        let tag = self.tag(addr);
+        self.set_range(self.set_index(addr)).find(|&i| {
+            let line = &self.lines[i];
+            line.state != LineState::Invalid && line.tag == tag
+        })
+    }
+
+    /// Counts a hit on the line at `way`: refreshes its LRU age.
+    fn touch(&mut self, way: usize) {
+        self.tick += 1;
+        self.lines[way].lru = self.tick;
+        self.stats.hits += 1;
+    }
+
     /// Performs an access; `write` marks the line Modified on hit or fill.
     ///
     /// Misses allocate (write-allocate policy) and may evict an LRU victim;
     /// a dirty victim's address is reported for write-back accounting.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
+        if let Some(way) = self.way(addr) {
+            self.touch(way);
+            if write {
+                self.lines[way].state = LineState::Modified;
+            }
+            return AccessOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+
+        // Miss: pick a victim (an invalid way if any, else LRU).
         self.tick += 1;
         let set = self.set_index(addr);
         let tag = self.tag(addr);
         let range = self.set_range(set);
-
-        // Hit path.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.state != LineState::Invalid && line.tag == tag {
-                line.lru = self.tick;
-                if write {
-                    line.state = LineState::Modified;
-                }
-                self.stats.hits += 1;
-                return AccessOutcome {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-        }
-
-        // Miss: pick a victim (an invalid way if any, else LRU).
         self.stats.misses += 1;
         let victim = range
             .clone()
@@ -307,58 +332,55 @@ impl Cache {
         }
     }
 
+    /// Serves an access that hits a line needing no state change — a
+    /// resident line for a read, a Modified line for a write — with one
+    /// set probe, touching LRU order and statistics exactly as
+    /// [`access`](Self::access) would. Returns `false`, touching nothing,
+    /// for any other access.
+    pub(crate) fn hit(&mut self, addr: u64, write: bool) -> bool {
+        match self.way(addr) {
+            Some(way) if !write || self.lines[way].state == LineState::Modified => {
+                self.touch(way);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Looks up the state of the line containing `addr` without touching
     /// LRU or statistics.
     pub fn probe(&self, addr: u64) -> LineState {
-        if self.resident == 0 {
-            return LineState::Invalid;
-        }
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        for i in self.set_range(set) {
-            let line = &self.lines[i];
-            if line.state != LineState::Invalid && line.tag == tag {
-                return line.state;
-            }
-        }
-        LineState::Invalid
+        self.way(addr)
+            .map_or(LineState::Invalid, |way| self.lines[way].state)
     }
 
     /// Invalidates the line containing `addr` (snoop action). Returns the
     /// previous state; a Modified line counts a write-back.
     pub fn invalidate(&mut self, addr: u64) -> LineState {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        for i in self.set_range(set) {
-            let line = &mut self.lines[i];
-            if line.state != LineState::Invalid && line.tag == tag {
-                let old = line.state;
-                if old == LineState::Modified {
-                    self.stats.writebacks += 1;
-                }
-                self.stats.invalidations += 1;
-                line.state = LineState::Invalid;
-                self.resident -= 1;
-                return old;
-            }
+        let Some(way) = self.way(addr) else {
+            return LineState::Invalid;
+        };
+        let old = self.lines[way].state;
+        if old == LineState::Modified {
+            self.stats.writebacks += 1;
         }
-        LineState::Invalid
+        self.stats.invalidations += 1;
+        self.lines[way].state = LineState::Invalid;
+        self.resident -= 1;
+        old
     }
 
     /// Downgrades the line containing `addr` from Modified to Shared
     /// (snoop read). Returns `true` if a write-back was needed.
     pub fn downgrade(&mut self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        for i in self.set_range(set) {
-            let line = &mut self.lines[i];
-            if line.state == LineState::Modified && line.tag == tag {
-                line.state = LineState::Shared;
+        match self.way(addr) {
+            Some(way) if self.lines[way].state == LineState::Modified => {
+                self.lines[way].state = LineState::Shared;
                 self.stats.writebacks += 1;
-                return true;
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Number of resident (non-invalid) lines.

@@ -8,6 +8,13 @@
 //! The simulation engine is single-threaded and interleaves cores
 //! cycle-by-cycle, so memory is sequentially consistent by construction;
 //! coherence here is purely a timing/state model.
+//!
+//! An access that hits the core's own L1 and needs no upgrade — a
+//! resident line for a fetch or read, a Modified line for a write — costs
+//! one set probe ([`MemorySystem::l1_hit`]). Only the rest snoop the other
+//! cores' L1Ds: under MSI, a core holding a line rules out a remote
+//! Modified copy, and a core holding it Modified rules out any remote
+//! copy, so the skipped sweep could not act.
 
 use crate::cache::{Cache, CacheConfig, CacheGeometryError, CacheStats, LineState};
 use crate::phys::PhysMem;
@@ -103,6 +110,18 @@ struct UndoEntry {
     old: u64,
 }
 
+/// A snoop that acted: `requester`'s access invalidated or downgraded
+/// `snooped`'s L1D copy of the line at `line`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Snoop {
+    /// The core whose access snooped.
+    pub requester: usize,
+    /// The core whose copy was invalidated or downgraded.
+    pub snooped: usize,
+    /// The line's base address.
+    pub line: u64,
+}
+
 /// Per-core undo journal for rollback recovery.
 ///
 /// Marks handed out by [`MemorySystem::journal_mark`] are *absolute*
@@ -135,6 +154,7 @@ pub struct MemorySystem {
     mem: PhysMem,
     latency: LatencyConfig,
     snoops: u64,
+    first_snoop: Option<Snoop>,
     journals: Vec<Option<UndoJournal>>,
 }
 
@@ -159,6 +179,7 @@ impl MemorySystem {
             mem: PhysMem::new(),
             latency: config.latency,
             snoops: 0,
+            first_snoop: None,
             journals,
         })
     }
@@ -249,6 +270,11 @@ impl MemorySystem {
         self.snoops
     }
 
+    /// The first snoop that acted, if any did.
+    pub fn first_snoop(&self) -> Option<Snoop> {
+        self.first_snoop
+    }
+
     /// The latency model in force.
     pub fn latency(&self) -> &LatencyConfig {
         &self.latency
@@ -286,12 +312,43 @@ impl MemorySystem {
         self.l2.flush_all();
     }
 
-    /// Walks L1 → L2 → DRAM for timing, returning cycles.
-    fn timed_path(&mut self, core: usize, addr: u64, kind: AccessKind) -> u64 {
+    /// Serves a `kind` access by `core` to `addr` from the core's own L1
+    /// with one set probe, if it needs no upgrade: the line is resident
+    /// for a fetch or read, Modified for a write. Returns the hit's
+    /// cycles, having touched LRU order and statistics exactly as
+    /// [`access`](Self::access) would; returns `None`, touching nothing,
+    /// for any other access. Such a hit acts on no other core's copy (see
+    /// the module docs), which is why main blocks may run it early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn l1_hit(&mut self, core: usize, addr: u64, kind: AccessKind) -> Option<u64> {
+        let caches = &mut self.cores[core];
+        let hit = match kind {
+            AccessKind::Fetch => caches.l1i.hit(addr, false),
+            AccessKind::Read => caches.l1d.hit(addr, false),
+            AccessKind::Write => caches.l1d.hit(addr, true),
+        };
+        hit.then_some(self.latency.l1_hit)
+    }
+
+    /// Times a `kind` access by `core` to `addr`: [`l1_hit`](Self::l1_hit)
+    /// when it serves the access, else a snoop of the other cores' L1Ds
+    /// (data accesses) and a walk through L1 → L2 → DRAM. Returns the
+    /// cycles. Functional data is untouched: pair it with
+    /// [`phys`](Self::phys) or [`store`](Self::store).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn access(&mut self, core: usize, addr: u64, kind: AccessKind) -> u64 {
+        if let Some(cycles) = self.l1_hit(core, addr, kind) {
+            return cycles;
+        }
         let write = kind == AccessKind::Write;
         let mut cycles = self.latency.l1_hit;
-
-        // Coherence first: a data access may need to snoop remote L1Ds.
         if kind != AccessKind::Fetch {
             cycles += self.coherence_actions(core, addr, write);
         }
@@ -327,62 +384,52 @@ impl MemorySystem {
     fn coherence_actions(&mut self, core: usize, addr: u64, write: bool) -> u64 {
         let mut cycles = 0;
         for (i, other) in self.cores.iter_mut().enumerate() {
-            if i == core {
-                continue;
-            }
-            if write {
-                if other.l1d.probe(addr) != LineState::Invalid {
-                    other.l1d.invalidate(addr);
-                    self.snoops += 1;
-                    cycles += self.latency.snoop;
-                }
-            } else if other.l1d.probe(addr) == LineState::Modified {
-                other.l1d.downgrade(addr);
+            let acted = i != core
+                && if write {
+                    other.l1d.invalidate(addr) != LineState::Invalid
+                } else {
+                    other.l1d.downgrade(addr)
+                };
+            if acted {
                 self.snoops += 1;
                 cycles += self.latency.snoop;
+                let line_mask = !(other.l1d.config().line_bytes as u64 - 1);
+                self.first_snoop.get_or_insert(Snoop {
+                    requester: core,
+                    snooped: i,
+                    line: addr & line_mask,
+                });
             }
         }
         cycles
     }
 
-    /// Whether a `kind` access by `core` to `addr` would hit in the core's
-    /// own L1 and act on no other core's copy: the line is resident for a
-    /// fetch or read, Modified for a write. Under MSI a core holding a
-    /// line rules out a remote Modified copy, and a Modified line rules
-    /// out any remote copy, so such an access snoops nobody. Touches no
-    /// LRU state or statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn stays_in_l1(&self, core: usize, addr: u64, kind: AccessKind) -> bool {
-        let caches = &self.cores[core];
-        match kind {
-            AccessKind::Fetch => caches.l1i.probe(addr) != LineState::Invalid,
-            AccessKind::Read => caches.l1d.probe(addr) != LineState::Invalid,
-            AccessKind::Write => caches.l1d.probe(addr) == LineState::Modified,
-        }
-    }
-
     /// Fetches a 32-bit instruction word. Returns `(word, cycles)`.
     pub fn fetch(&mut self, core: usize, addr: u64) -> (u32, u64) {
-        let cycles = self.timed_path(core, addr, AccessKind::Fetch);
+        let cycles = self.access(core, addr, AccessKind::Fetch);
         (self.mem.read_u32(addr), cycles)
     }
 
     /// Reads `size` bytes (1/2/4/8), zero-extended. Returns
     /// `(value, cycles)`.
     pub fn read(&mut self, core: usize, addr: u64, size: u8) -> (u64, u64) {
-        let cycles = self.timed_path(core, addr, AccessKind::Read);
+        let cycles = self.access(core, addr, AccessKind::Read);
         (self.mem.read_sized(addr, size), cycles)
     }
 
     /// Writes the low `size` bytes of `value`. Returns cycles.
     pub fn write(&mut self, core: usize, addr: u64, value: u64, size: u8) -> u64 {
-        let cycles = self.timed_path(core, addr, AccessKind::Write);
+        let cycles = self.access(core, addr, AccessKind::Write);
+        self.store(core, addr, value, size);
+        cycles
+    }
+
+    /// The functional half of [`write`](Self::write): journals and writes
+    /// the low `size` bytes of `value` for `core`, charging no time.
+    /// Pair it with [`access`](Self::access) or [`l1_hit`](Self::l1_hit).
+    pub fn store(&mut self, core: usize, addr: u64, value: u64, size: u8) {
         self.journal_store(core, addr, size);
         self.mem.write_sized(addr, value, size);
-        cycles
     }
 
     /// Atomic read-modify-write: reads the old value, stores the value
@@ -397,11 +444,9 @@ impl MemorySystem {
         size: u8,
         f: impl FnOnce(u64) -> u64,
     ) -> (u64, u64) {
-        let cycles = self.timed_path(core, addr, AccessKind::Write);
-        self.journal_store(core, addr, size);
+        let cycles = self.access(core, addr, AccessKind::Write);
         let old = self.mem.read_sized(addr, size);
-        let new = f(old);
-        self.mem.write_sized(addr, new, size);
+        self.store(core, addr, f(old), size);
         (old, cycles)
     }
 }
@@ -440,11 +485,17 @@ mod tests {
         m.read(0, 0x3000, 8);
         m.read(1, 0x3000, 8);
         let before = m.snoop_count();
-        m.write(0, 0x3000, 1, 8);
+        m.write(0, 0x3008, 1, 8);
         assert_eq!(m.snoop_count(), before + 1);
+        let first = Snoop {
+            requester: 0,
+            snooped: 1,
+            line: 0x3000,
+        };
+        assert_eq!(m.first_snoop(), Some(first));
         // Core 1 must now miss.
         let lat = LatencyConfig::paper();
-        let (v, t) = m.read(1, 0x3000, 8);
+        let (v, t) = m.read(1, 0x3008, 8);
         assert_eq!(v, 1);
         assert!(
             t > lat.l1_hit,
@@ -460,6 +511,14 @@ mod tests {
         let (v, _) = m.read(1, 0x4000, 8);
         assert_eq!(v, 9);
         assert_eq!(m.snoop_count(), before + 1);
+        let first = Snoop {
+            requester: 1,
+            snooped: 0,
+            line: 0x4000,
+        };
+        assert_eq!(m.first_snoop(), Some(first));
+        m.write(0, 0x4000, 1, 8);
+        assert_eq!(m.first_snoop(), Some(first), "the first stays");
     }
 
     #[test]
@@ -503,41 +562,51 @@ mod tests {
     }
 
     #[test]
-    fn l1_probe_answers_without_touching_state() {
+    fn l1_hit_serves_only_hits_needing_no_upgrade() {
+        use AccessKind::{Fetch, Read, Write};
         let mut m = sys(2);
+        let lat = LatencyConfig::paper();
         let (line, other) = (0xc000, 0xd040);
         m.fetch(0, line);
         m.read(0, line, 8);
         m.write(0, other, 1, 8);
-        // Invalid (core 1 holds nothing), Shared (`line`), Modified
-        // (`other`), under a fetch, a read and a write.
-        let cases = [
-            (1, line, [false, false, false]),
-            (0, line, [true, true, false]),
-            (0, other, [false, true, true]),
-        ];
         let stats = |m: &MemorySystem| {
             (0..2)
                 .map(|c| (*m.l1i_stats(c), *m.l1d_stats(c)))
                 .collect::<Vec<_>>()
         };
+        // Refused, touching nothing: a line core 1 does not hold, a
+        // fetch of a line only the L1D holds, a write to a Shared line.
         let before = (stats(&m), *m.l2_stats(), m.snoop_count());
-        for (core, addr, expected) in cases {
-            let kinds = [AccessKind::Fetch, AccessKind::Read, AccessKind::Write];
-            let got = kinds.map(|kind| m.stays_in_l1(core, addr, kind));
-            assert_eq!(got, expected, "core {core} addr {addr:#x}");
+        for (core, addr, kind) in [(1, line, Read), (0, other, Fetch), (0, line, Write)] {
+            assert_eq!(
+                m.l1_hit(core, addr, kind),
+                None,
+                "{core} {addr:#x} {kind:?}"
+            );
         }
         assert_eq!((stats(&m), *m.l2_stats(), m.snoop_count()), before);
-        // Nor LRU order: the victim is the one the accesses alone pick.
-        // Four more lines in `line`'s L1D set evict it, the probes
-        // notwithstanding.
-        let set_stride = 16 * 1024 / 4;
-        for way in 1..=4 {
-            m.read(0, line + way * set_stride, 8);
-            assert!(m.stays_in_l1(0, line + way * set_stride, AccessKind::Read));
-            let _ = m.stays_in_l1(0, line, AccessKind::Read);
+        // Served: each counts one L1 hit, as the full path would.
+        for (addr, kind) in [(line, Fetch), (line, Read), (other, Read), (other, Write)] {
+            assert_eq!(
+                m.l1_hit(0, addr, kind),
+                Some(lat.l1_hit),
+                "{addr:#x} {kind:?}"
+            );
         }
-        assert!(!m.stays_in_l1(0, line, AccessKind::Read), "LRU victim");
+        assert_eq!(m.l1i_stats(0).hits, before.0[0].0.hits + 1);
+        assert_eq!(m.l1d_stats(0).hits, before.0[0].1.hits + 3);
+        // And refreshes LRU order as the full path would: four more
+        // lines in `line`'s 4-way L1D set evict the oldest of them, not
+        // the line the hit refreshed.
+        let set_stride = 16 * 1024 / 4;
+        for way in 1..=3 {
+            m.read(0, line + way * set_stride, 8);
+        }
+        assert!(m.l1_hit(0, line, Read).is_some());
+        m.read(0, line + 4 * set_stride, 8);
+        assert!(m.l1_hit(0, line, Read).is_some(), "refreshed");
+        assert_eq!(m.l1_hit(0, line + set_stride, Read), None, "LRU victim");
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod hierarchy;
 pub mod phys;
 
 pub use cache::{Cache, CacheConfig, CacheStats, LineState};
-pub use hierarchy::{AccessKind, LatencyConfig, MemoryConfig, MemorySystem};
+pub use hierarchy::{AccessKind, LatencyConfig, MemoryConfig, MemorySystem, Snoop};
 pub use phys::PhysMem;

@@ -1,8 +1,10 @@
 //! Property tests of the memory hierarchy: functional correctness against
 //! a flat byte-granular shadow memory under random multi-core access
-//! sequences (including size aliasing), and latency-model sanity.
+//! sequences (including size aliasing), timing and statistics against a
+//! reference that snoops on every data access, and latency-model sanity.
 
-use flexstep_mem::hierarchy::{MemoryConfig, MemorySystem};
+use flexstep_mem::cache::{Cache, CacheConfig, LineState};
+use flexstep_mem::hierarchy::{AccessKind, LatencyConfig, MemoryConfig, MemorySystem};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -61,8 +63,158 @@ impl Shadow {
     }
 }
 
+/// The memory system as a plain composition of [`Cache`]s: every data
+/// access first sweeps the other cores' L1Ds, hit or miss, then walks
+/// L1 → L2 → DRAM. [`MemorySystem`] must time and count exactly alike
+/// while it skips the sweep on L1 hits that need no upgrade.
+struct Reference {
+    l1i: Vec<Cache>,
+    l1d: Vec<Cache>,
+    l2: Cache,
+    latency: LatencyConfig,
+    snoops: u64,
+}
+
+impl Reference {
+    fn new(cores: usize, config: MemoryConfig) -> Self {
+        let caches = |c| {
+            (0..cores)
+                .map(|_| Cache::new(c).expect("geometry"))
+                .collect()
+        };
+        Reference {
+            l1i: caches(config.l1i),
+            l1d: caches(config.l1d),
+            l2: Cache::new(config.l2).expect("geometry"),
+            latency: config.latency,
+            snoops: 0,
+        }
+    }
+
+    fn access(&mut self, core: usize, addr: u64, kind: AccessKind) -> u64 {
+        let write = kind == AccessKind::Write;
+        let lat = self.latency;
+        let mut cycles = lat.l1_hit;
+        if kind != AccessKind::Fetch {
+            for (i, other) in self.l1d.iter_mut().enumerate() {
+                if i == core {
+                    continue;
+                }
+                let state = other.probe(addr);
+                if write && state != LineState::Invalid {
+                    other.invalidate(addr);
+                } else if !write && state == LineState::Modified {
+                    other.downgrade(addr);
+                } else {
+                    continue;
+                }
+                self.snoops += 1;
+                cycles += lat.snoop;
+            }
+        }
+        let l1 = match kind {
+            AccessKind::Fetch => &mut self.l1i[core],
+            _ => &mut self.l1d[core],
+        };
+        let l1_out = l1.access(addr, write);
+        if l1_out.hit {
+            return cycles;
+        }
+        let l2_out = self.l2.access(addr, write);
+        cycles += lat.l2_hit;
+        if !l2_out.hit {
+            cycles += lat.dram;
+        }
+        if l1_out.writeback.is_some() {
+            cycles += lat.l2_hit;
+        }
+        if l2_out.writeback.is_some() {
+            cycles += lat.dram;
+        }
+        cycles
+    }
+
+    /// Whether one L1D holds `addr`'s line Modified while another holds
+    /// it at all: the MSI invariant that makes skipping the sweep exact.
+    fn msi_violated(&self, addr: u64) -> bool {
+        let states: Vec<LineState> = self.l1d.iter().map(|c| c.probe(addr)).collect();
+        let holders = states.iter().filter(|&&s| s != LineState::Invalid).count();
+        states.contains(&LineState::Modified) && holders > 1
+    }
+}
+
+/// 512 B 2-way L1s (4 sets) and a 4 KiB 4-way L2 (16 sets), so that 96
+/// lines evict, invalidate and downgrade all the time.
+fn tiny_config() -> MemoryConfig {
+    let l1 = CacheConfig {
+        size_bytes: 512,
+        ways: 2,
+        line_bytes: 64,
+    };
+    MemoryConfig {
+        l1i: l1,
+        l1d: l1,
+        l2: CacheConfig {
+            size_bytes: 4096,
+            ways: 4,
+            line_bytes: 64,
+        },
+        latency: LatencyConfig::paper(),
+    }
+}
+
+const TIMED_LINES: u64 = 96;
+
+/// A word of line `line`, at an offset that varies with the line.
+fn timed_addr(line: u64) -> u64 {
+    0x10_0000 + line * 64 + (line % 8) * 8
+}
+
+fn timed_access() -> impl Strategy<Value = (usize, u64, AccessKind)> {
+    let kind = prop_oneof![
+        Just(AccessKind::Fetch),
+        Just(AccessKind::Read),
+        Just(AccessKind::Write)
+    ];
+    (0usize..8, 0..TIMED_LINES, kind)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Cycles, every cache's statistics and the snoop count equal the
+    /// reference's after every access, on 1–8 cores; and no line is
+    /// ever Modified in one L1D while another L1D holds it.
+    #[test]
+    fn timing_matches_a_reference_that_always_snoops(
+        cores in 1usize..=8,
+        ops in proptest::collection::vec(timed_access(), 1..300),
+    ) {
+        let mut mem = MemorySystem::new(cores, tiny_config()).expect("geometry");
+        let mut reference = Reference::new(cores, tiny_config());
+        for (step, (core, line, kind)) in ops.into_iter().enumerate() {
+            let (core, addr) = (core % cores, timed_addr(line));
+            let cycles = match kind {
+                AccessKind::Fetch => mem.fetch(core, addr).1,
+                AccessKind::Read => mem.read(core, addr, 8).1,
+                AccessKind::Write => mem.write(core, addr, line, 8),
+            };
+            let at = format!("step {step}: core {core} {kind:?} {addr:#x}");
+            prop_assert_eq!(cycles, reference.access(core, addr, kind), "{}", at);
+            for c in 0..cores {
+                prop_assert_eq!(mem.l1i_stats(c), reference.l1i[c].stats(), "{} L1I {}", at, c);
+                prop_assert_eq!(mem.l1d_stats(c), reference.l1d[c].stats(), "{} L1D {}", at, c);
+            }
+            prop_assert_eq!(mem.l2_stats(), reference.l2.stats(), "{}", at);
+            prop_assert_eq!(mem.snoop_count(), reference.snoops, "{}", at);
+            // Only the accessed line can gain a holder or a Modified copy;
+            // evictions elsewhere only drop copies.
+            prop_assert!(!reference.msi_violated(addr), "{}", at);
+        }
+        for line in 0..TIMED_LINES {
+            prop_assert!(!reference.msi_violated(timed_addr(line)), "line {}", line);
+        }
+    }
 
     /// Reads always return the bytes of the most recent writes to the
     /// same locations, across cores and access sizes, whatever the cache

@@ -161,17 +161,22 @@ impl<'a> SocDataPort<'a> {
     }
 
     /// Like [`SocDataPort::new`], but with `l1_only` set an access that
-    /// would not [stay in the core's L1](MemorySystem::stays_in_l1)
-    /// aborts before touching anything.
+    /// the core's own L1 cannot [serve without an
+    /// upgrade](MemorySystem::l1_hit) aborts before touching anything.
     pub(crate) fn with_l1_only(mem: &'a mut MemorySystem, core: usize, l1_only: bool) -> Self {
         SocDataPort { mem, core, l1_only }
     }
 
-    fn admit(&self, addr: u64, kind: AccessKind) -> Result<(), PortStop> {
-        if self.l1_only && !self.mem.stays_in_l1(self.core, addr, kind) {
-            return Err(PortStop);
-        }
-        Ok(())
+    /// Times a `kind` access to `addr` and returns the stall beyond the
+    /// pipelined L1 hit. Under `l1_only` the one-probe L1 call that every
+    /// access starts with decides alone, and its refusal aborts.
+    fn timed(&mut self, addr: u64, kind: AccessKind) -> Result<u64, PortStop> {
+        let total = if self.l1_only {
+            self.mem.l1_hit(self.core, addr, kind).ok_or(PortStop)?
+        } else {
+            self.mem.access(self.core, addr, kind)
+        };
+        Ok(self.penalty(total))
     }
 
     fn penalty(&self, total: u64) -> u64 {
@@ -181,15 +186,14 @@ impl<'a> SocDataPort<'a> {
 
 impl DataPort for SocDataPort<'_> {
     fn read(&mut self, addr: u64, size: u8) -> Result<(u64, u64), PortStop> {
-        self.admit(addr, AccessKind::Read)?;
-        let (value, cycles) = self.mem.read(self.core, addr, size);
-        Ok((value, self.penalty(cycles)))
+        let cycles = self.timed(addr, AccessKind::Read)?;
+        Ok((self.mem.phys().read_sized(addr, size), cycles))
     }
 
     fn write(&mut self, addr: u64, value: u64, size: u8) -> Result<u64, PortStop> {
-        self.admit(addr, AccessKind::Write)?;
-        let cycles = self.mem.write(self.core, addr, value, size);
-        Ok(self.penalty(cycles))
+        let cycles = self.timed(addr, AccessKind::Write)?;
+        self.mem.store(self.core, addr, value, size);
+        Ok(cycles)
     }
 
     fn store_conditional(
@@ -200,14 +204,10 @@ impl DataPort for SocDataPort<'_> {
         resv_valid: bool,
     ) -> Result<(bool, u64), PortStop> {
         if resv_valid {
-            self.admit(addr, AccessKind::Write)?;
-            let cycles = self.mem.write(self.core, addr, value, size);
-            Ok((true, self.penalty(cycles)))
+            Ok((true, self.write(addr, value, size)?))
         } else {
             // Failed SC still probes the cache; charge a read-shaped trip.
-            self.admit(addr, AccessKind::Read)?;
-            let (_, cycles) = self.mem.read(self.core, addr, size);
-            Ok((false, self.penalty(cycles)))
+            Ok((false, self.read(addr, size)?.1))
         }
     }
 

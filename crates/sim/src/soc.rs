@@ -178,6 +178,10 @@ pub struct Soc {
     /// decoded again where a store lands in it. Fetch reads instructions
     /// from here; text outside every image is read and decoded per fetch.
     images: Vec<TextImage>,
+    /// Set, for good, once a core fetches from outside every image. Until
+    /// then every core's `last_fetch_line` overlaps an image, so a store
+    /// to a line that overlaps none needs no walk over the cores.
+    fetched_outside_images: bool,
 }
 
 impl std::fmt::Debug for Soc {
@@ -211,6 +215,7 @@ impl Soc {
             fetch_line_mask: !(config.mem.l1i.line_bytes as u64 - 1),
             code_epoch: 0,
             images: Vec::new(),
+            fetched_outside_images: false,
         })
     }
 
@@ -319,22 +324,29 @@ impl Soc {
     /// through the modelled I-cache — cross-core code patching included —
     /// and a store into a line of loaded text is code patching: it bumps
     /// the code epoch and decodes the stored words again.
+    ///
+    /// The walk over the cores is skipped for a line that overlaps no
+    /// image while no core has fetched from outside every image: each
+    /// fetch charge has an `inst_at` for the same pc, so every core's
+    /// last fetched line then overlaps an image.
     fn after_access(&mut self, access: Option<&MemAccess>) {
         let Some(store) = access.filter(|m| !is_load(m)) else {
             return;
         };
         let line = store.addr & self.fetch_line_mask;
-        for c in &mut self.cores {
-            if c.last_fetch_line == line {
-                c.last_fetch_line = u64::MAX;
-            }
-        }
         let line_end = line | !self.fetch_line_mask;
-        if self
+        let in_text = self
             .images
             .iter()
-            .any(|image| line_end >= image.base && line < image.end())
-        {
+            .any(|image| line_end >= image.base && line < image.end());
+        if in_text || self.fetched_outside_images {
+            for c in &mut self.cores {
+                if c.last_fetch_line == line {
+                    c.last_fetch_line = u64::MAX;
+                }
+            }
+        }
+        if in_text {
             self.code_epoch += 1;
             self.decode_again(store.addr, store.addr.saturating_add(u64::from(store.size)));
         }
@@ -721,13 +733,14 @@ impl Soc {
         if replay {
             return 0;
         }
-        let (_, fetch_total) = self.mem.fetch(id, pc);
-        fetch_total.saturating_sub(self.mem.latency().l1_hit)
+        let total = self.mem.access(id, pc, AccessKind::Fetch);
+        total.saturating_sub(self.mem.latency().l1_hit)
     }
 
     /// The instruction at `pc` (`None` if its word does not decode): from
     /// the text image core `id` last fetched from, else from any loaded
-    /// image, else read from memory and decoded.
+    /// image, else read from memory and decoded, which marks
+    /// `fetched_outside_images`.
     #[inline]
     fn inst_at(&mut self, id: usize, pc: u64) -> Option<Inst> {
         let hint = self.cores[id].image;
@@ -740,6 +753,7 @@ impl Soc {
                 return inst;
             }
         }
+        self.fetched_outside_images = true;
         decode(self.mem.phys().read_u32(pc)).ok()
     }
 
@@ -777,8 +791,8 @@ impl Soc {
     /// - does not decode, or is a system, FlexStep or atomic instruction;
     /// - traps;
     /// - is not the block's first, and would fetch or access data outside
-    ///   the core's own L1 or act on another core's copy
-    ///   ([`MemorySystem::stays_in_l1`]).
+    ///   the core's own L1 or act on another core's copy: the L1 must
+    ///   [serve it in one probe](MemorySystem::l1_hit).
     ///
     /// The first instruction runs at the dispatch cycle, where a single
     /// step would. The rest run ahead of other cores' steps at earlier
@@ -820,13 +834,18 @@ impl Soc {
                 break;
             }
             let l1_only = retired > 0;
-            if l1_only
-                && self.cores[id].last_fetch_line != pc & self.fetch_line_mask
-                && !self.mem.stays_in_l1(id, pc, AccessKind::Fetch)
-            {
-                break;
-            }
-            let fetch_cycles = self.fetch_cycles(id, pc, false);
+            let line = pc & self.fetch_line_mask;
+            let fetch_cycles = if l1_only && self.cores[id].last_fetch_line != line {
+                // Rule (a) for the fetch: the one-probe L1I call serves
+                // the new line or ends the block.
+                let Some(total) = self.mem.l1_hit(id, pc, AccessKind::Fetch) else {
+                    break;
+                };
+                self.cores[id].last_fetch_line = line;
+                total.saturating_sub(self.mem.latency().l1_hit)
+            } else {
+                self.fetch_cycles(id, pc, false)
+            };
             let counters = CsrCounters {
                 cycle: at,
                 time: at,
@@ -1344,6 +1363,41 @@ mod tests {
         assert_eq!(a2, 2, "the last pass ran the new word");
         assert!(a3 > 100 && a3 < 200, "old passes, then new ones: {a3}");
         assert_eq!(soc.code_epoch(), 3, "two loads and one store into text");
+    }
+
+    #[test]
+    fn a_store_into_a_line_run_outside_every_image_refetches_it() {
+        // Core 0 runs `addi`s written outside every image; core 1, running
+        // a loaded program, stores beside them in their line. Core 0's
+        // next fetch goes through its L1I again, as after any store into
+        // a fetched line.
+        let loose = 0x4000;
+        let mut asm = Assembler::with_bases("store_beside", 0x1000_0000, 0x2000_0000);
+        asm.li(XReg::T0, loose as i64 + 0x30);
+        asm.sd(XReg::T0, XReg::A1, 0);
+        asm.ecall();
+        let storer = asm.finish().unwrap();
+        let mut soc = Soc::new(SocConfig::paper(2)).unwrap();
+        soc.load_program(&storer);
+        for i in 0..4 {
+            let word = addi_word(XReg::A0, XReg::A0, 1);
+            soc.mem.phys_mut().write_u32(loose + 4 * i, word);
+        }
+        soc.core_mut(0).state.pc = loose;
+        soc.core_mut(0).unpark();
+        let core = soc.core_mut(1);
+        core.state.pc = storer.entry;
+        core.state.prv = PrivMode::User;
+        core.unpark();
+        let fetches = |soc: &Soc| soc.mem.l1i_stats(0).accesses();
+        for _ in 0..2 {
+            assert!(matches!(soc.step_core(0).kind, StepKind::Retired(_)));
+        }
+        assert_eq!(fetches(&soc), 1, "one line, charged once");
+        while let StepKind::Retired(_) = soc.step_core(1).kind {}
+        assert!(matches!(soc.step_core(0).kind, StepKind::Retired(_)));
+        assert_eq!(fetches(&soc), 2, "the store made core 0 refetch");
+        assert_eq!(soc.core(0).state.x(XReg::A0), 3);
     }
 
     #[test]

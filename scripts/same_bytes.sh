@@ -14,7 +14,10 @@
 #     host-timed "wall_s" and "steps_per_sec" fields removed, and the
 #     --trace files of the first three (fig8's stdout prints host-timed
 #     steps/s, so it is not compared);
-#   - the merge of CI's 48-shard campaignd smoke campaign.
+#   - the merge of CI's 48-shard campaignd smoke campaign;
+#   - the benchmark's simulated work: the sim_digest of a one-second
+#     perfbench run of each workload (--seed 1 --trace 0), built on each
+#     side with its own target directory under the temporary directory.
 #
 # Exits 0 when every output matches. Otherwise it names the first
 # differing output, shows the start of the difference and exits 1.
@@ -43,6 +46,13 @@ echo "building $rev"
 build "$work/src" "$work/target"
 echo "building the working tree"
 build "$root" "$root/target"
+# perfbench is a standalone package (see perfbench/README.md).
+declare -A perfbench=([rev]="$work/perfbench-rev" [tree]="$work/perfbench-tree")
+echo "building perfbench at $rev and in the working tree"
+cargo build --release --offline --quiet --manifest-path "$work/src/perfbench/Cargo.toml" \
+    --target-dir "${perfbench[rev]}"
+cargo build --release --offline --quiet --manifest-path "$root/perfbench/Cargo.toml" \
+    --target-dir "${perfbench[tree]}"
 
 # run <stdout file> <binary under release/> [args...]: runs the binary
 # on both sides, each in its own directory, so files it writes stay
@@ -110,5 +120,18 @@ run campaign_submit.out campaignd submit --dir campaign "${spec[@]}"
 run campaign_run.out campaignd run --dir campaign
 run campaign_merge.out campaignd merge --dir campaign --out campaign_merged.jsonl
 same campaign_merged.jsonl
+
+for workload in paired_suite shared_modes fault_campaign; do
+    for side in rev tree; do
+        if ! (cd "$work/run-$side" &&
+            "${perfbench[$side]}/release/perfbench" --workload "$workload" --seed 1 \
+                --seconds 1 --trace 0 | grep -o '"sim_digest": "[0-9a-f]*"') \
+            >"$work/run-$side/perfbench_$workload.digest"; then
+            echo "FAILED on $side: perfbench --workload $workload" >&2
+            exit 1
+        fi
+    done
+    same "perfbench_$workload.digest"
+done
 
 echo "all outputs match $rev"
