@@ -404,12 +404,6 @@ impl MemorySystem {
         cycles
     }
 
-    /// Fetches a 32-bit instruction word. Returns `(word, cycles)`.
-    pub fn fetch(&mut self, core: usize, addr: u64) -> (u32, u64) {
-        let cycles = self.access(core, addr, AccessKind::Fetch);
-        (self.mem.read_u32(addr), cycles)
-    }
-
     /// Reads `size` bytes (1/2/4/8), zero-extended. Returns
     /// `(value, cycles)`.
     pub fn read(&mut self, core: usize, addr: u64, size: u8) -> (u64, u64) {
@@ -524,9 +518,9 @@ mod tests {
     #[test]
     fn fetch_uses_icache_not_dcache() {
         let mut m = sys(1);
-        m.phys_mut().write_u32(0x5000, 0x1234_5678);
-        let (w, _) = m.fetch(0, 0x5000);
-        assert_eq!(w, 0x1234_5678);
+        let lat = LatencyConfig::paper();
+        let cold = m.access(0, 0x5000, AccessKind::Fetch);
+        assert_eq!(cold, lat.l1_hit + lat.l2_hit + lat.dram);
         assert_eq!(m.l1i_stats(0).accesses(), 1);
         assert_eq!(m.l1d_stats(0).accesses(), 0);
     }
@@ -567,7 +561,7 @@ mod tests {
         let mut m = sys(2);
         let lat = LatencyConfig::paper();
         let (line, other) = (0xc000, 0xd040);
-        m.fetch(0, line);
+        m.access(0, line, Fetch);
         m.read(0, line, 8);
         m.write(0, other, 1, 8);
         let stats = |m: &MemorySystem| {
@@ -596,14 +590,15 @@ mod tests {
         }
         assert_eq!(m.l1i_stats(0).hits, before.0[0].0.hits + 1);
         assert_eq!(m.l1d_stats(0).hits, before.0[0].1.hits + 3);
-        // And refreshes LRU order as the full path would: four more
-        // lines in `line`'s 4-way L1D set evict the oldest of them, not
-        // the line the hit refreshed.
+        // And refreshes LRU order as the full path would, where a refusal
+        // does not: four more lines in `line`'s 4-way L1D set evict the
+        // oldest of them, not the line the hit refreshed.
         let set_stride = 16 * 1024 / 4;
         for way in 1..=3 {
             m.read(0, line + way * set_stride, 8);
         }
         assert!(m.l1_hit(0, line, Read).is_some());
+        assert_eq!(m.l1_hit(0, line + set_stride, Write), None);
         m.read(0, line + 4 * set_stride, 8);
         assert!(m.l1_hit(0, line, Read).is_some(), "refreshed");
         assert_eq!(m.l1_hit(0, line + set_stride, Read), None, "LRU victim");

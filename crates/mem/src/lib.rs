@@ -12,14 +12,15 @@
 //! ## Example
 //!
 //! ```
-//! use flexstep_mem::{MemoryConfig, MemorySystem};
+//! use flexstep_mem::{AccessKind, MemoryConfig, MemorySystem};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut mem = MemorySystem::new(4, MemoryConfig::paper())?;
 //! mem.phys_mut().load_words(0x1000, &[0x0000_0013]); // nop
-//! let (word, cycles) = mem.fetch(0, 0x1000);
-//! assert_eq!(word, 0x13);
-//! assert!(cycles >= 2); // L1 latency per Tab. II
+//! let cold = mem.access(0, 0x1000, AccessKind::Fetch);
+//! let warm = mem.access(0, 0x1000, AccessKind::Fetch);
+//! assert_eq!(mem.phys().read_u32(0x1000), 0x13);
+//! assert!(cold > warm && warm == 2); // L1 latency per Tab. II
 //! # Ok(())
 //! # }
 //! ```

@@ -195,7 +195,7 @@ proptest! {
         for (step, (core, line, kind)) in ops.into_iter().enumerate() {
             let (core, addr) = (core % cores, timed_addr(line));
             let cycles = match kind {
-                AccessKind::Fetch => mem.fetch(core, addr).1,
+                AccessKind::Fetch => mem.access(core, addr, kind),
                 AccessKind::Read => mem.read(core, addr, 8).1,
                 AccessKind::Write => mem.write(core, addr, line, 8),
             };

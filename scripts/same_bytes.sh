@@ -22,7 +22,7 @@
 # Exits 0 when every output matches. Otherwise it names the first
 # differing output, shows the start of the difference and exits 1.
 # Set TMPDIR to choose where the temporary directory goes; it holds a
-# second release build (about 0.5 GiB).
+# second release build and both sides' perfbench builds (about 0.5 GiB).
 set -euo pipefail
 
 rev=${1:?usage: scripts/same_bytes.sh <rev>}
